@@ -116,6 +116,25 @@ func (g *Graph) Nodes() []string {
 	return append([]string(nil), g.order...)
 }
 
+// NodeAt returns the node with insertion index i, 0 <= i < NumNodes.
+// Iterating by index reads the graph without the copy Nodes makes.
+func (g *Graph) NodeAt(i int) string { return g.order[i] }
+
+// Intern returns the graph's own copy of the node ID spelled by id, so a
+// decoder can name a node by bytes without allocating a string. An
+// unknown id is returned as a new string.
+func (g *Graph) Intern(id []byte) string {
+	if i, ok := g.index[string(id)]; ok {
+		return g.order[i]
+	}
+	return string(id)
+}
+
+// AppendSucc appends the successors of id, in insertion order, to dst.
+func (g *Graph) AppendSucc(dst []string, id string) []string {
+	return append(dst, g.succ[id]...)
+}
+
 // Succ returns the successors of id in insertion order (a copy).
 func (g *Graph) Succ(id string) []string {
 	return append([]string(nil), g.succ[id]...)
@@ -301,20 +320,27 @@ func (g *Graph) Validate() error {
 	if len(g.Sinks()) == 0 {
 		return errors.New("dag: no sink node")
 	}
-	// Undirected connectivity check.
-	seen := make(map[string]bool, len(g.order))
-	stack := []string{g.order[0]}
+	// Undirected connectivity check, on insertion indices like TopoSort.
+	seen := make([]bool, len(g.order))
+	stack := make([]int, 1, len(g.order))
+	reached := 0
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if seen[i] {
 			continue
 		}
-		seen[id] = true
-		stack = append(stack, g.succ[id]...)
-		stack = append(stack, g.pred[id]...)
+		seen[i] = true
+		reached++
+		id := g.order[i]
+		for _, n := range g.succ[id] {
+			stack = append(stack, g.index[n])
+		}
+		for _, n := range g.pred[id] {
+			stack = append(stack, g.index[n])
+		}
 	}
-	if len(seen) != len(g.order) {
+	if reached != len(g.order) {
 		return errors.New("dag: graph is disconnected")
 	}
 	return nil

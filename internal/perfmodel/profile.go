@@ -79,9 +79,25 @@ type Profile struct {
 
 // Validate checks the profile for internal consistency.
 func (p Profile) Validate() error {
-	switch {
-	case p.Name == "":
+	if p.Name == "" {
 		return errors.New("perfmodel: profile needs a name")
+	}
+	// NaN compares false against every bound below, so non-finite values
+	// are rejected by name first.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"CPUWorkMS", p.CPUWorkMS}, {"ParallelFrac", p.ParallelFrac},
+		{"MaxParallel", p.MaxParallel}, {"IOMS", p.IOMS},
+		{"FootprintMB", p.FootprintMB}, {"MinMemMB", p.MinMemMB},
+		{"PressureK", p.PressureK}, {"NoiseStd", p.NoiseStd},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("perfmodel: %s: non-finite %s %v", p.Name, f.name, f.v)
+		}
+	}
+	switch {
 	case p.CPUWorkMS < 0 || p.IOMS < 0:
 		return fmt.Errorf("perfmodel: %s: negative work or io", p.Name)
 	case p.ParallelFrac < 0 || p.ParallelFrac > 1:

@@ -68,6 +68,17 @@ func DefaultLimits() Limits {
 
 // Validate reports whether the limits describe a non-empty grid.
 func (l Limits) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MinCPU", l.MinCPU}, {"MaxCPU", l.MaxCPU}, {"CPUStep", l.CPUStep},
+		{"MinMemMB", l.MinMemMB}, {"MaxMemMB", l.MaxMemMB}, {"MemStepMB", l.MemStepMB},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("resources: non-finite limit %s %v", f.name, f.v)
+		}
+	}
 	if l.MinCPU <= 0 || l.MaxCPU < l.MinCPU || l.CPUStep <= 0 {
 		return fmt.Errorf("resources: invalid CPU limits %+v", l)
 	}

@@ -77,10 +77,11 @@ var errNilSpec = errors.New("service: batch item with nil spec")
 // pendingSearch is one claimed miss awaiting a pooled batch run: the
 // flight call it leads, and everything searchMiss needs to run it.
 type pendingSearch struct {
-	fp   string
-	c    *flightCall
-	spec *workflow.Spec
-	r    resolved
+	fp    string
+	c     *flightCall
+	spec  *workflow.Spec
+	canon []byte // the spec's canonical JSON, from fingerprinting
+	r     resolved
 }
 
 // ConfigureBatch answers a batch of configure requests as one admission:
@@ -132,7 +133,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 			results[i].Err = err
 			continue
 		}
-		fp, err := s.fingerprint(it.Spec, r, nil)
+		fp, canon, err := s.fingerprint(it.Spec, r, nil)
 		if err != nil {
 			results[i].Err = err
 			continue
@@ -151,7 +152,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 		}
 		s.misses.Add(1)
 		if c, leader := s.flight.claim(fp); leader {
-			runs = append(runs, &pendingSearch{fp: fp, c: c, spec: it.Spec, r: r})
+			runs = append(runs, &pendingSearch{fp: fp, c: c, spec: it.Spec, canon: canon, r: r})
 		} else {
 			waits = append(waits, attached{item: i, c: c})
 		}
@@ -214,7 +215,7 @@ func (s *Service) searchPending(ctx context.Context, p *pendingSearch) {
 			s.flight.finish(p.fp, p.c, nil, fmt.Errorf("service: search for %s panicked: %v", p.fp, r))
 		}
 	}()
-	body, err := s.searchMiss(ctx, p.fp, p.spec, p.r, false)
+	body, err := s.searchMiss(ctx, p.fp, p.spec, p.canon, p.r, false)
 	s.flight.finish(p.fp, p.c, body, err)
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,11 +12,8 @@ import (
 	"time"
 
 	"aarc/internal/event"
-	"aarc/internal/inputaware"
 	"aarc/internal/resources"
 	"aarc/internal/search"
-	"aarc/internal/workflow"
-	"aarc/internal/workloads"
 )
 
 // The HTTP surface of the serving layer, mounted by cmd/aarcd and testable
@@ -41,8 +37,9 @@ import (
 // responses. The GET path never canonicalizes a spec: it is a store
 // lookup, nothing more, and 404s rather than searching.
 
-// maxRequestBody bounds request JSON (a spec with thousands of nodes fits
-// comfortably; this guards against unbounded uploads, not real use).
+// maxRequestBody bounds request JSON against unbounded uploads. It is not
+// sized for the largest specs: a generated 1000-node spec encodes to about
+// 0.3 MB, but a 10k-node one to about 5 MB, over this limit.
 const maxRequestBody = 4 << 20
 
 // NewHandler mounts the service's HTTP API.
@@ -97,17 +94,17 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"methods": methods})
 	})
 	mux.HandleFunc("POST /v1/configure", func(w http.ResponseWriter, r *http.Request) {
-		var req configureRequest
-		if err := readJSON(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		spec, err := req.spec()
+		req, err := readRequest(w, r, false)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		body, hit, err := s.ConfigureJSON(r.Context(), spec, req.options())
+		spec, err := req.source()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		body, hit, err := s.ConfigureJSON(r.Context(), spec, req.opts)
 		if err != nil {
 			writeServiceError(s, w, err)
 			return
@@ -115,30 +112,34 @@ func NewHandler(s *Service) http.Handler {
 		writeCached(w, body, hit)
 	})
 	mux.HandleFunc("POST /v1/configure:batch", func(w http.ResponseWriter, r *http.Request) {
-		var req batchConfigureRequest
-		if err := readJSON(w, r, &req); err != nil {
+		body, err := readBody(w, r)
+		var reqs []configureRequest
+		if err == nil {
+			reqs, err = decodeBatch(body)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(req.Requests) == 0 {
+		if len(reqs) == 0 {
 			writeError(w, http.StatusBadRequest, errors.New("batch: empty \"requests\""))
 			return
 		}
-		if len(req.Requests) > MaxBatchItems {
+		if len(reqs) > MaxBatchItems {
 			writeError(w, http.StatusBadRequest, ErrBatchTooLarge)
 			return
 		}
-		// Decode every item's spec up front; a bad item keeps its slot (a
-		// per-item 400) without failing the batch.
-		items := make([]BatchItem, len(req.Requests))
-		decodeErrs := make([]error, len(req.Requests))
-		for i, cr := range req.Requests {
-			spec, err := cr.spec()
+		// A bad item keeps its slot (a per-item 400) without failing the
+		// batch.
+		items := make([]BatchItem, len(reqs))
+		decodeErrs := make([]error, len(reqs))
+		for i := range reqs {
+			spec, err := reqs[i].source()
 			if err != nil {
 				decodeErrs[i] = err
 				continue
 			}
-			items[i] = BatchItem{Spec: spec, Options: cr.options()}
+			items[i] = BatchItem{Spec: spec, Options: reqs[i].opts}
 		}
 		results, err := s.ConfigureBatch(r.Context(), items)
 		if err != nil {
@@ -274,21 +275,17 @@ func NewHandler(s *Service) http.Handler {
 		}
 	})
 	mux.HandleFunc("POST /v1/dispatch", func(w http.ResponseWriter, r *http.Request) {
-		var req dispatchRequest
-		if err := readJSON(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		spec, err := req.spec()
+		req, err := readRequest(w, r, true)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		var classes []inputaware.Class
-		for _, c := range req.Classes {
-			classes = append(classes, inputaware.Class{Name: c.Name, Scale: c.Scale})
+		spec, err := req.source()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
-		res, hit, err := s.Dispatch(r.Context(), spec, classes, req.Scale, req.options())
+		res, hit, err := s.Dispatch(r.Context(), spec, req.inputClasses(), req.scale, req.opts)
 		if err != nil {
 			writeServiceError(s, w, err)
 			return
@@ -367,58 +364,6 @@ func recoverPanics(s *Service, next http.Handler) http.Handler {
 	})
 }
 
-// specSource is the shared spec half of the POST bodies: exactly one of a
-// built-in workload name or an inline spec in the DecodeSpec JSON format.
-type specSource struct {
-	Workload string          `json:"workload,omitempty"`
-	Spec     json.RawMessage `json:"spec,omitempty"`
-}
-
-func (ss specSource) spec() (*workflow.Spec, error) {
-	switch {
-	case ss.Workload != "" && len(ss.Spec) > 0:
-		return nil, errors.New("request: give either \"workload\" or \"spec\", not both")
-	case ss.Workload != "":
-		return workloads.ByName(ss.Workload)
-	case len(ss.Spec) > 0:
-		return workflow.DecodeSpec(bytes.NewReader(ss.Spec))
-	default:
-		return nil, errors.New("request: missing \"workload\" or \"spec\"")
-	}
-}
-
-// requestKnobs is the shared options half of the POST bodies.
-type requestKnobs struct {
-	Method       string  `json:"method,omitempty"`
-	Seed         *uint64 `json:"seed,omitempty"`
-	SLOMS        float64 `json:"slo_ms,omitempty"`
-	MaxSamples   int     `json:"max_samples,omitempty"`
-	MaxSimCostMS float64 `json:"max_sim_cost_ms,omitempty"`
-	InputScale   float64 `json:"input_scale,omitempty"`
-}
-
-func (rk requestKnobs) options() RequestOptions {
-	return RequestOptions{
-		Method:       rk.Method,
-		Seed:         rk.Seed,
-		SLOMS:        rk.SLOMS,
-		MaxSamples:   rk.MaxSamples,
-		MaxSimCostMS: rk.MaxSimCostMS,
-		InputScale:   rk.InputScale,
-	}
-}
-
-type configureRequest struct {
-	specSource
-	requestKnobs
-}
-
-// batchConfigureRequest is the wire form of POST /v1/configure:batch: a
-// list of ordinary configure requests, answered as one admission.
-type batchConfigureRequest struct {
-	Requests []configureRequest `json:"requests"`
-}
-
 // batchItemResponse is one slot of a batch response, index-aligned with
 // the request. Status is the HTTP status the item would have earned as a
 // singleton request; the envelope itself is 200 whenever the batch was
@@ -435,16 +380,6 @@ type batchItemResponse struct {
 
 type batchConfigureResponse struct {
 	Results []batchItemResponse `json:"results"`
-}
-
-type dispatchRequest struct {
-	specSource
-	requestKnobs
-	Scale   float64 `json:"scale"`
-	Classes []struct {
-		Name  string  `json:"name"`
-		Scale float64 `json:"scale"`
-	} `json:"classes,omitempty"`
 }
 
 type evaluateRequest struct {

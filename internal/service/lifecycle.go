@@ -272,7 +272,7 @@ func (s *Service) refresh(ctx context.Context, fp string) error {
 	defer s.setRefreshing(fp, false)
 	// The lifecycle context rides into the search: Close cancels
 	// in-flight refreshes, unlike foreground misses which run detached.
-	ne, se, err := s.runSearch(ctx, fp, e.spec, r)
+	ne, se, err := s.runSearch(ctx, fp, e.spec, e.meta.Spec, r)
 	if err != nil {
 		s.flight.finish(fp, c, nil, err)
 		return err

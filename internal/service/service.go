@@ -42,6 +42,7 @@ package service
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,6 +50,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +59,7 @@ import (
 	"aarc/internal/event"
 	"aarc/internal/experiments"
 	"aarc/internal/inputaware"
+	"aarc/internal/jsonx"
 	"aarc/internal/resources"
 	"aarc/internal/search"
 	"aarc/internal/store"
@@ -700,43 +703,76 @@ func capBudgetF(req, cap float64) float64 {
 	return req
 }
 
-// fingerprint builds the content-addressed cache key. classes is non-nil
-// only for dispatch keys, which must not collide with configure keys for
-// the same spec. The method's implementation version is part of the key:
-// bumping a method's registered version changes every fingerprint it
-// produces, so stale entries — including persisted ones — are simply
-// never addressed again.
-func (s *Service) fingerprint(spec *workflow.Spec, r resolved, classes []inputaware.Class) (string, error) {
-	specJSON, err := workflow.CanonicalJSON(spec)
+// fingerprint builds the content-addressed cache key and returns it with
+// the spec's canonical JSON, which the miss path persists as-is. classes
+// is non-nil only for dispatch keys, which must not collide with
+// configure keys for the same spec. The method's implementation version
+// is part of the key: bumping a method's registered version changes
+// every fingerprint it produces, so stale entries — including persisted
+// ones — are simply never addressed again.
+//
+// The key is SHA-256 over the JSON object
+//
+//	{"spec":…,"search":…,"method":…,"method_version":…,"seed":…,
+//	 "host_cores":…,"noise":…,"input_scale":…[,"classes":[…]]}
+//
+// written straight into the hash, byte for byte what json.Marshal
+// writes for it; the canonical spec bytes are already compact, so they
+// are hashed as they are.
+//
+//aarc:canonical
+func (s *Service) fingerprint(spec *workflow.Spec, r resolved, classes []inputaware.Class) (fp string, canon []byte, err error) {
+	canon, err = workflow.CanonicalJSON(spec)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	key := struct {
-		Spec          json.RawMessage    `json:"spec"`
-		Search        json.RawMessage    `json:"search"`
-		Method        string             `json:"method"`
-		MethodVersion int                `json:"method_version"`
-		Seed          uint64             `json:"seed"`
-		HostCores     float64            `json:"host_cores"`
-		Noise         bool               `json:"noise"`
-		InputScale    float64            `json:"input_scale"`
-		Classes       []inputaware.Class `json:"classes,omitempty"`
-	}{
-		Spec:          specJSON,
-		Search:        r.sopts.CanonicalJSON(),
-		Method:        r.method,
-		MethodVersion: r.version,
-		Seed:          r.seed,
-		HostCores:     r.ropts.HostCores,
-		Noise:         r.ropts.Noise,
-		InputScale:    r.ropts.InputScale,
-		Classes:       classes,
+	h := sha256.New()
+	var arr [256]byte
+	b := append(arr[:0], `{"spec":`...)
+	h.Write(b)
+	h.Write(canon)
+	b = append(arr[:0], `,"search":`...)
+	b = append(b, r.sopts.CanonicalJSON()...)
+	b = append(b, `,"method":`...)
+	b = jsonx.AppendString(b, r.method)
+	b = append(b, `,"method_version":`...)
+	b = strconv.AppendInt(b, int64(r.version), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, r.seed, 10)
+	b = append(b, `,"host_cores":`...)
+	if b, err = jsonx.AppendFloat(b, r.ropts.HostCores); err != nil {
+		return "", nil, err
 	}
-	b, err := json.Marshal(key)
-	if err != nil {
-		return "", err
+	b = append(b, `,"noise":`...)
+	b = strconv.AppendBool(b, r.ropts.Noise)
+	b = append(b, `,"input_scale":`...)
+	if b, err = jsonx.AppendFloat(b, r.ropts.InputScale); err != nil {
+		return "", nil, err
 	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(b)), nil
+	if len(classes) > 0 {
+		b = append(b, `,"classes":[`...)
+		for i, c := range classes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"Name":`...)
+			b = jsonx.AppendString(b, c.Name)
+			b = append(b, `,"Scale":`...)
+			if b, err = jsonx.AppendFloat(b, c.Scale); err != nil {
+				return "", nil, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '}')
+	h.Write(b)
+	var sum [sha256.Size]byte
+	const prefix = "sha256:"
+	out := make([]byte, len(prefix)+hex.EncodedLen(len(sum)))
+	copy(out, prefix)
+	hex.Encode(out[len(prefix):], h.Sum(sum[:0]))
+	return string(out), canon, nil
 }
 
 // getStore reads the store, degrading store errors to misses (a broken
@@ -777,7 +813,7 @@ func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro Request
 	if err != nil {
 		return "", nil, false, err
 	}
-	fp, err = s.fingerprint(spec, r, nil)
+	fp, canon, err := s.fingerprint(spec, r, nil)
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -799,7 +835,7 @@ func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro Request
 		// which drains the queue into one pooled batch run, then wait on
 		// our own flight like a follower. The coalescer owns finishing the
 		// flight (its run recovers panics), so no abandon is deferred here.
-		s.coal.enqueue(&pendingSearch{fp: fp, c: c, spec: spec, r: r})
+		s.coal.enqueue(&pendingSearch{fp: fp, c: c, spec: spec, canon: canon, r: r})
 		body, err = s.flightResult(ctx, c)
 		return fp, body, false, err
 	}
@@ -807,7 +843,7 @@ func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro Request
 	// is deferred so a panic publishes a sentinel error to followers (see
 	// flightGroup) instead of an unset result.
 	defer s.flight.abandon(fp, c)
-	body, err = s.searchMiss(ctx, fp, spec, r, true)
+	body, err = s.searchMiss(ctx, fp, spec, canon, r, true)
 	s.flight.finish(fp, c, body, err)
 	if err != nil {
 		return fp, nil, false, err
@@ -832,7 +868,7 @@ func (s *Service) flightResult(ctx context.Context, c *flightCall) ([]byte, erro
 // Failed searches — including shed and timed-out ones — are never
 // written to any tier: the store stays untouched and the next request
 // retries.
-func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec, r resolved, shed bool) ([]byte, error) {
+func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec, canon []byte, r resolved, shed bool) ([]byte, error) {
 	if se, ok := s.getStore(fp); ok {
 		return se.Body, nil
 	}
@@ -843,7 +879,7 @@ func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec
 	// Detach from the client's context here — not in runSearch — so the
 	// background refresher can pass its own cancellable lifecycle context
 	// to the same search machinery.
-	e, se, err := s.runSearch(context.WithoutCancel(ctx), fp, spec, r) //aarc:detached shared cache entry must not be poisoned by one client's disconnect
+	e, se, err := s.runSearch(context.WithoutCancel(ctx), fp, spec, canon, r) //aarc:detached shared cache entry must not be poisoned by one client's disconnect
 	if err != nil {
 		return nil, err
 	}
@@ -941,10 +977,11 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 }
 
 // runSearch performs one search and builds both the runtime entry and the
-// storable form. It runs detached from the client's context (see the
+// storable form; canon is the spec's canonical JSON, persisted in the
+// entry's metadata. It runs detached from the client's context (see the
 // package comment). Nothing is written to the store here: persisting is
 // the caller's step, taken only on success.
-func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec, r resolved) (*entry, store.Entry, error) {
+func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec, canon []byte, r resolved) (*entry, store.Entry, error) {
 	searcher, err := search.New(r.method, r.seed)
 	if err != nil {
 		return nil, store.Entry{}, err
@@ -978,12 +1015,8 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 	if err != nil {
 		return nil, store.Entry{}, err
 	}
-	specJSON, err := workflow.CanonicalJSON(spec)
-	if err != nil {
-		return nil, store.Entry{}, err
-	}
 	m := entryMeta{
-		Spec:       specJSON,
+		Spec:       canon,
 		HostCores:  r.ropts.HostCores,
 		Noise:      r.ropts.Noise,
 		Seed:       r.ropts.Seed,
@@ -1113,7 +1146,7 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 	if err != nil {
 		return nil, false, err
 	}
-	fp, err := s.fingerprint(spec, r, sorted)
+	fp, _, err := s.fingerprint(spec, r, sorted)
 	if err != nil {
 		return nil, false, err
 	}

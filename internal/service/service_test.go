@@ -659,14 +659,14 @@ func TestMethodVersionFoldsIntoFingerprint(t *testing.T) {
 	if r.version != 1 {
 		t.Fatalf("stub method resolved version %d, want 1", r.version)
 	}
-	fp1, err := svc.fingerprint(spec, r, nil)
+	fp1, _, err := svc.fingerprint(spec, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same request under a bumped implementation version must address
 	// a different entry: stale recommendations self-invalidate.
 	r.version = 2
-	fp2, err := svc.fingerprint(spec, r, nil)
+	fp2, _, err := svc.fingerprint(spec, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aarc/internal/dag"
+	"aarc/internal/jsonx"
 	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
 )
@@ -32,60 +33,144 @@ type canonicalSpec struct {
 // spelled out per group. It is the preimage of Fingerprint; callers that
 // combine a spec with other cache-key material (search options, runner
 // seeds) hash over these bytes.
+//
+// The bytes are exactly json.Marshal of the canonicalSpec value the spec
+// maps to (struct fields in declaration order, omitempty fields dropped
+// when zero, map keys sorted, an empty edge list as null); they are
+// written by hand in one pass because this runs on every configure
+// request. A value json.Marshal cannot encode (NaN, ±Inf) is an error.
 func CanonicalJSON(spec *Spec) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cs := canonicalSpec{
-		Name:  spec.Name,
-		SLOMS: spec.SLOMS,
-		Base:  make(map[string]configJSON, len(spec.Base)),
+	ids := make([]string, spec.G.NumNodes())
+	for i := range ids {
+		ids[i] = spec.G.NodeAt(i)
 	}
-	ids := append([]string(nil), spec.G.Nodes()...)
-	sort.Strings(ids)
-	for _, id := range ids {
-		p := spec.Profiles[id]
-		n := nodeJSON{
-			ID: id,
-			Profile: profileJSON{
-				CPUWorkMS:      p.CPUWorkMS,
-				ParallelFrac:   p.ParallelFrac,
-				MaxParallel:    p.MaxParallel,
-				IOMS:           p.IOMS,
-				FootprintMB:    p.FootprintMB,
-				MinMemMB:       p.MinMemMB,
-				PressureK:      p.PressureK,
-				NoiseStd:       p.NoiseStd,
-				InputSensitive: p.InputSensitive,
-			},
+	slices.Sort(ids)
+
+	w := canonWriter{b: make([]byte, 0, 256+256*len(ids)+32*spec.G.NumEdges())}
+	w.raw(`{"name":`)
+	w.str(spec.Name)
+	w.raw(`,"slo_ms":`)
+	w.float(spec.SLOMS)
+	w.raw(`,"nodes":[`)
+	for i, id := range ids {
+		if i > 0 {
+			w.raw(",")
 		}
+		w.raw(`{"id":`)
+		w.str(id)
 		if grp := spec.GroupOf(id); grp != id {
-			n.Group = grp
+			w.raw(`,"group":`)
+			w.str(grp)
 		}
-		cs.Nodes = append(cs.Nodes, n)
+		p := spec.Profiles[id]
+		w.raw(`,"profile":{"cpu_work_ms":`)
+		w.float(p.CPUWorkMS)
+		w.raw(`,"parallel_frac":`)
+		w.float(p.ParallelFrac)
+		w.omitZero(`,"max_parallel":`, p.MaxParallel)
+		w.omitZero(`,"io_ms":`, p.IOMS)
+		w.raw(`,"footprint_mb":`)
+		w.float(p.FootprintMB)
+		w.raw(`,"min_mem_mb":`)
+		w.float(p.MinMemMB)
+		w.omitZero(`,"pressure_k":`, p.PressureK)
+		w.omitZero(`,"noise_std":`, p.NoiseStd)
+		if p.InputSensitive {
+			w.raw(`,"input_sensitive":true`)
+		}
+		w.raw("}}")
 	}
-	for _, from := range ids {
-		for _, to := range spec.G.Succ(from) {
-			cs.Edges = append(cs.Edges, [2]string{from, to})
+	w.raw(`],"edges":`)
+	if spec.G.NumEdges() == 0 {
+		w.raw("null")
+	} else {
+		// ids is sorted, so sorting each node's successors sorts the
+		// whole edge list lexicographically.
+		w.raw("[")
+		first := true
+		var succ []string
+		for _, from := range ids {
+			succ = spec.G.AppendSucc(succ[:0], from)
+			slices.Sort(succ)
+			for _, to := range succ {
+				if !first {
+					w.raw(",")
+				}
+				first = false
+				w.raw("[")
+				w.str(from)
+				w.raw(",")
+				w.str(to)
+				w.raw("]")
+			}
 		}
+		w.raw("]")
 	}
-	sort.Slice(cs.Edges, func(i, j int) bool {
-		if cs.Edges[i][0] != cs.Edges[j][0] {
-			return cs.Edges[i][0] < cs.Edges[j][0]
+	w.raw(`,"base":{`)
+	groups := make([]string, 0, len(spec.Base))
+	for g := range spec.Base {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	for i, g := range groups {
+		if i > 0 {
+			w.raw(",")
 		}
-		return cs.Edges[i][1] < cs.Edges[j][1]
-	})
-	for g, cfg := range spec.Base {
-		cs.Base[g] = configJSON{CPU: cfg.CPU, MemMB: cfg.MemMB}
+		cfg := spec.Base[g]
+		w.str(g)
+		w.raw(`:{"cpu":`)
+		w.float(cfg.CPU)
+		w.raw(`,"mem_mb":`)
+		w.float(cfg.MemMB)
+		w.raw("}")
 	}
 	lim := spec.Limits
-	cs.Limits = limitsJSON{
-		MinCPU: lim.MinCPU, MaxCPU: lim.MaxCPU, CPUStep: lim.CPUStep,
-		MinMemMB: lim.MinMemMB, MaxMemMB: lim.MaxMemMB, MemStepMB: lim.MemStepMB,
+	w.raw(`},"limits":{"min_cpu":`)
+	w.float(lim.MinCPU)
+	w.raw(`,"max_cpu":`)
+	w.float(lim.MaxCPU)
+	w.raw(`,"cpu_step":`)
+	w.float(lim.CPUStep)
+	w.raw(`,"min_mem_mb":`)
+	w.float(lim.MinMemMB)
+	w.raw(`,"max_mem_mb":`)
+	w.float(lim.MaxMemMB)
+	w.raw(`,"mem_step_mb":`)
+	w.float(lim.MemStepMB)
+	w.raw("}}")
+	if w.err != nil {
+		return nil, fmt.Errorf("workflow %s: canonical JSON: %w", spec.Name, w.err)
 	}
-	// encoding/json writes struct fields in declaration order and string-keyed
-	// maps sorted by key, so the bytes are a pure function of the spec.
-	return json.Marshal(cs)
+	return w.b, nil
+}
+
+// canonWriter appends JSON tokens; the first unencodable float sticks.
+type canonWriter struct {
+	b   []byte
+	err error
+}
+
+func (w *canonWriter) raw(s string) { w.b = append(w.b, s...) }
+
+func (w *canonWriter) str(s string) { w.b = jsonx.AppendString(w.b, s) }
+
+func (w *canonWriter) float(f float64) {
+	var err error
+	w.b, err = jsonx.AppendFloat(w.b, f)
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+}
+
+// omitZero writes an omitempty float member: dropped when it equals zero.
+func (w *canonWriter) omitZero(key string, f float64) {
+	if f != 0 {
+		w.raw(key)
+		w.float(f)
+	}
 }
 
 // DecodeCanonicalSpec parses CanonicalJSON output back into a validated

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"aarc/internal/dag"
+	"aarc/internal/jsonx"
 	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
 )
@@ -78,61 +79,341 @@ type limitsJSON struct {
 	MemStepMB float64 `json:"mem_step_mb"`
 }
 
-// DecodeSpec parses a JSON workflow definition and validates it.
+// DecodeSpec parses a JSON workflow definition and validates it. The
+// decoding rules are encoding/json's for the specJSON struct with unknown
+// fields disallowed (see package jsonx): a value DecodeSpec accepts is one
+// json.Decoder would have decoded to the same spec, and bytes after the
+// first JSON value are ignored.
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	var sj specJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sj); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: reading spec: %w", err)
+	}
+	return ScanSpec(jsonx.NewScanner(b))
+}
+
+// ScanSpec decodes the spec value at the scanner's position, in the
+// DecodeSpec format, builds it and validates it. A type error inside the
+// value is returned here and not left on the scanner, so a request
+// decoder that embeds a spec can keep scanning past a bad one; a syntax
+// error stops the scanner and is returned too.
+func ScanSpec(s *jsonx.Scanner) (*Spec, error) {
+	outer := s.SwapTypeErr(nil)
+	var d specDoc
+	d.scan(s)
+	err := s.SwapTypeErr(outer)
+	if serr := s.SyntaxErr(); serr != nil {
+		err = serr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("workflow: decoding spec: %w", err)
 	}
+	return d.build()
+}
 
-	g := dag.New()
-	profiles := make(map[string]perfmodel.Profile, len(sj.Nodes))
-	groups := make(map[string]string)
-	for _, n := range sj.Nodes {
-		if err := g.AddNode(n.ID); err != nil {
-			return nil, err
-		}
-		profiles[n.ID] = perfmodel.Profile{
-			Name:           n.ID,
-			CPUWorkMS:      n.Profile.CPUWorkMS,
-			ParallelFrac:   n.Profile.ParallelFrac,
-			MaxParallel:    n.Profile.MaxParallel,
-			IOMS:           n.Profile.IOMS,
-			FootprintMB:    n.Profile.FootprintMB,
-			MinMemMB:       n.Profile.MinMemMB,
-			PressureK:      n.Profile.PressureK,
-			NoiseStd:       n.Profile.NoiseStd,
-			InputSensitive: n.Profile.InputSensitive,
-		}
-		if n.Group != "" {
-			groups[n.ID] = n.Group
+// specDoc is a spec as decoded, before it is built into a Spec: the
+// specJSON vocabulary with strings left as bytes of the input, so edge
+// endpoints can be resolved to the nodes' own ID strings.
+type specDoc struct {
+	name   []byte
+	sloMS  float64
+	nodes  []nodeDoc
+	edges  [][2][]byte
+	base   configJSON
+	limits *limitsJSON
+}
+
+type nodeDoc struct {
+	id, group []byte
+	profile   profileJSON
+}
+
+const (
+	specName = iota
+	specSLO
+	specNodes
+	specEdges
+	specBase
+	specLimits
+)
+
+const (
+	nodeID = iota
+	nodeGroup
+	nodeProfile
+)
+
+const (
+	profCPUWork = iota
+	profParallelFrac
+	profMaxParallel
+	profIO
+	profFootprint
+	profMinMem
+	profPressureK
+	profNoiseStd
+	profInputSensitive
+)
+
+const (
+	cfgCPU = iota
+	cfgMem
+)
+
+const (
+	limMinCPU = iota
+	limMaxCPU
+	limCPUStep
+	limMinMem
+	limMaxMem
+	limMemStep
+)
+
+// Key tables, in the order of the constants above; the names are the
+// json tags of specJSON and friends.
+var (
+	specFields    = jsonx.NewFields("name", "slo_ms", "nodes", "edges", "base", "limits")
+	nodeFields    = jsonx.NewFields("id", "group", "profile")
+	profileFields = jsonx.NewFields("cpu_work_ms", "parallel_frac", "max_parallel", "io_ms",
+		"footprint_mb", "min_mem_mb", "pressure_k", "noise_std", "input_sensitive")
+	configFields = jsonx.NewFields("cpu", "mem_mb")
+	limitsFields = jsonx.NewFields("min_cpu", "max_cpu", "cpu_step", "min_mem_mb", "max_mem_mb", "mem_step_mb")
+)
+
+// unknownField records encoding/json's DisallowUnknownFields error and
+// skips the member's value.
+func unknownField(s *jsonx.Scanner, key []byte) {
+	s.Mismatch("unknown field %q", key)
+}
+
+func (d *specDoc) scan(s *jsonx.Scanner) {
+	if s.Null() || !s.Object() {
+		return
+	}
+	for s.More('}') {
+		key := s.Key()
+		switch specFields.Lookup(key) {
+		case specName:
+			s.BytesTo(&d.name)
+		case specSLO:
+			s.FloatTo(&d.sloMS)
+		case specNodes:
+			scanNodes(s, &d.nodes)
+		case specEdges:
+			scanEdges(s, &d.edges)
+		case specBase:
+			scanConfig(s, &d.base)
+		case specLimits:
+			if s.Null() {
+				d.limits = nil
+				continue
+			}
+			if d.limits == nil {
+				d.limits = new(limitsJSON)
+			}
+			scanLimits(s, d.limits)
+		default:
+			unknownField(s, key)
 		}
 	}
-	for _, e := range sj.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+}
+
+func scanNodes(s *jsonx.Scanner, dst *[]nodeDoc) {
+	if s.Null() {
+		*dst = nil
+		return
+	}
+	if !s.Array() {
+		return
+	}
+	v, i := *dst, 0
+	for ; s.More(']'); i++ {
+		v = jsonx.Grow(v, i)
+		scanNode(s, &v[i])
+	}
+	*dst = jsonx.Shrink(v, i)
+}
+
+func scanNode(s *jsonx.Scanner, n *nodeDoc) {
+	if s.Null() || !s.Object() {
+		return
+	}
+	for s.More('}') {
+		key := s.Key()
+		switch nodeFields.Lookup(key) {
+		case nodeID:
+			s.BytesTo(&n.id)
+		case nodeGroup:
+			s.BytesTo(&n.group)
+		case nodeProfile:
+			scanProfile(s, &n.profile)
+		default:
+			unknownField(s, key)
+		}
+	}
+}
+
+func scanProfile(s *jsonx.Scanner, p *profileJSON) {
+	if s.Null() || !s.Object() {
+		return
+	}
+	for s.More('}') {
+		key := s.Key()
+		switch profileFields.Lookup(key) {
+		case profCPUWork:
+			s.FloatTo(&p.CPUWorkMS)
+		case profParallelFrac:
+			s.FloatTo(&p.ParallelFrac)
+		case profMaxParallel:
+			s.FloatTo(&p.MaxParallel)
+		case profIO:
+			s.FloatTo(&p.IOMS)
+		case profFootprint:
+			s.FloatTo(&p.FootprintMB)
+		case profMinMem:
+			s.FloatTo(&p.MinMemMB)
+		case profPressureK:
+			s.FloatTo(&p.PressureK)
+		case profNoiseStd:
+			s.FloatTo(&p.NoiseStd)
+		case profInputSensitive:
+			if s.Null() {
+				continue
+			}
+			if b, ok := s.Bool(); ok {
+				p.InputSensitive = b
+			}
+		default:
+			unknownField(s, key)
+		}
+	}
+}
+
+// scanEdges decodes [][2]string: extra endpoints are skipped unread and
+// missing ones are zeroed, as for a Go array.
+func scanEdges(s *jsonx.Scanner, dst *[][2][]byte) {
+	if s.Null() {
+		*dst = nil
+		return
+	}
+	if !s.Array() {
+		return
+	}
+	v, i := *dst, 0
+	for ; s.More(']'); i++ {
+		v = jsonx.Grow(v, i)
+		e := &v[i]
+		if s.Null() || !s.Array() {
+			continue
+		}
+		j := 0
+		for ; s.More(']'); j++ {
+			if j < len(e) {
+				s.BytesTo(&e[j])
+			} else {
+				s.Skip()
+			}
+		}
+		for ; j < len(e); j++ {
+			e[j] = nil
+		}
+	}
+	*dst = jsonx.Shrink(v, i)
+}
+
+func scanConfig(s *jsonx.Scanner, c *configJSON) {
+	if s.Null() || !s.Object() {
+		return
+	}
+	for s.More('}') {
+		key := s.Key()
+		switch configFields.Lookup(key) {
+		case cfgCPU:
+			s.FloatTo(&c.CPU)
+		case cfgMem:
+			s.FloatTo(&c.MemMB)
+		default:
+			unknownField(s, key)
+		}
+	}
+}
+
+func scanLimits(s *jsonx.Scanner, l *limitsJSON) {
+	if !s.Object() {
+		return
+	}
+	for s.More('}') {
+		key := s.Key()
+		switch limitsFields.Lookup(key) {
+		case limMinCPU:
+			s.FloatTo(&l.MinCPU)
+		case limMaxCPU:
+			s.FloatTo(&l.MaxCPU)
+		case limCPUStep:
+			s.FloatTo(&l.CPUStep)
+		case limMinMem:
+			s.FloatTo(&l.MinMemMB)
+		case limMaxMem:
+			s.FloatTo(&l.MaxMemMB)
+		case limMemStep:
+			s.FloatTo(&l.MemStepMB)
+		default:
+			unknownField(s, key)
+		}
+	}
+}
+
+// build turns the decoded document into a validated Spec. Edge endpoints
+// are the graph's own node ID strings.
+func (d *specDoc) build() (*Spec, error) {
+	g := dag.NewWithCapacity(len(d.nodes))
+	profiles := make(map[string]perfmodel.Profile, len(d.nodes))
+	groups := make(map[string]string)
+	for i := range d.nodes {
+		n := &d.nodes[i]
+		id := string(n.id)
+		if err := g.AddNode(id); err != nil {
+			return nil, err
+		}
+		p := &n.profile
+		profiles[id] = perfmodel.Profile{
+			Name:           id,
+			CPUWorkMS:      p.CPUWorkMS,
+			ParallelFrac:   p.ParallelFrac,
+			MaxParallel:    p.MaxParallel,
+			IOMS:           p.IOMS,
+			FootprintMB:    p.FootprintMB,
+			MinMemMB:       p.MinMemMB,
+			PressureK:      p.PressureK,
+			NoiseStd:       p.NoiseStd,
+			InputSensitive: p.InputSensitive,
+		}
+		if len(n.group) > 0 {
+			groups[id] = string(n.group)
+		}
+	}
+	for _, e := range d.edges {
+		if err := g.AddEdge(g.Intern(e[0]), g.Intern(e[1])); err != nil {
 			return nil, err
 		}
 	}
 
 	lim := resources.DefaultLimits()
-	if sj.Limits != nil {
+	if l := d.limits; l != nil {
 		lim = resources.Limits{
-			MinCPU: sj.Limits.MinCPU, MaxCPU: sj.Limits.MaxCPU, CPUStep: sj.Limits.CPUStep,
-			MinMemMB: sj.Limits.MinMemMB, MaxMemMB: sj.Limits.MaxMemMB, MemStepMB: sj.Limits.MemStepMB,
+			MinCPU: l.MinCPU, MaxCPU: l.MaxCPU, CPUStep: l.CPUStep,
+			MinMemMB: l.MinMemMB, MaxMemMB: l.MaxMemMB, MemStepMB: l.MemStepMB,
 		}
 	}
-
 	spec := &Spec{
-		Name:     sj.Name,
+		Name:     string(d.name),
 		G:        g,
 		Profiles: profiles,
 		Groups:   groups,
-		SLOMS:    sj.SLOMS,
+		SLOMS:    d.sloMS,
 		Limits:   lim,
 	}
-	base := resources.Config{CPU: sj.Base.CPU, MemMB: sj.Base.MemMB}
+	base := resources.Config{CPU: d.base.CPU, MemMB: d.base.MemMB}
 	spec.Base = resources.Uniform(spec.FunctionGroups(), base)
 	if err := spec.Validate(); err != nil {
 		return nil, err

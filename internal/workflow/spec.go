@@ -8,6 +8,7 @@ package workflow
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"aarc/internal/dag"
@@ -50,8 +51,8 @@ func (s *Spec) GroupOf(node string) string {
 // (sorted) order.
 func (s *Spec) FunctionGroups() []string {
 	set := make(map[string]bool)
-	for _, id := range s.G.Nodes() {
-		set[s.GroupOf(id)] = true
+	for i := 0; i < s.G.NumNodes(); i++ {
+		set[s.GroupOf(s.G.NodeAt(i))] = true
 	}
 	out := make([]string, 0, len(set))
 	for g := range set {
@@ -85,13 +86,17 @@ func (s *Spec) Validate() error {
 	if err := s.G.Validate(); err != nil {
 		return fmt.Errorf("workflow %s: %w", s.Name, err)
 	}
+	if math.IsNaN(s.SLOMS) || math.IsInf(s.SLOMS, 0) {
+		return fmt.Errorf("workflow %s: non-finite SLOMS %v", s.Name, s.SLOMS)
+	}
 	if s.SLOMS <= 0 {
 		return fmt.Errorf("workflow %s: non-positive SLO %v", s.Name, s.SLOMS)
 	}
 	if err := s.Limits.Validate(); err != nil {
 		return fmt.Errorf("workflow %s: %w", s.Name, err)
 	}
-	for _, id := range s.G.Nodes() {
+	for i := 0; i < s.G.NumNodes(); i++ {
+		id := s.G.NodeAt(i)
 		p, ok := s.Profiles[id]
 		if !ok {
 			return fmt.Errorf("workflow %s: node %q has no profile", s.Name, id)
@@ -105,6 +110,9 @@ func (s *Spec) Validate() error {
 		cfg, ok := s.Base[g]
 		if !ok {
 			return fmt.Errorf("workflow %s: group %q has no base config", s.Name, g)
+		}
+		if math.IsNaN(cfg.CPU) || math.IsInf(cfg.CPU, 0) || math.IsNaN(cfg.MemMB) || math.IsInf(cfg.MemMB, 0) {
+			return fmt.Errorf("workflow %s: group %q base config %v is not finite", s.Name, g, cfg)
 		}
 		if !cfg.Valid() || !s.Limits.Contains(cfg) {
 			return fmt.Errorf("workflow %s: group %q base config %v invalid or outside limits", s.Name, g, cfg)
