@@ -3,6 +3,7 @@ package aarc_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -308,5 +309,33 @@ func TestNewServiceCachesAcrossCalls(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Searches != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 search / 1 hit", st)
+	}
+}
+
+// TestServiceRejectsNonFiniteSpec: a spec carrying NaN or ±Inf is refused
+// by Validate with the field named, before anything is canonicalized,
+// hashed or searched.
+func TestServiceRejectsNonFiniteSpec(t *testing.T) {
+	svc, err := aarc.NewService(aarc.WithBudget(aarc.Budget{MaxSamples: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, slo := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec, err := aarc.Workload("chatbot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.SLOMS = slo
+		_, _, err = svc.ConfigureJSON(context.Background(), spec, aarc.ServiceRequest{})
+		if err == nil || !strings.Contains(err.Error(), "non-finite SLOMS") {
+			t.Errorf("SLOMS %v: ConfigureJSON err = %v, want a non-finite SLOMS error", slo, err)
+		}
+		if _, err := aarc.SpecFingerprint(spec); err == nil {
+			t.Errorf("SLOMS %v: SpecFingerprint accepted the spec", slo)
+		}
+	}
+	if st := svc.Stats(); st.Searches != 0 || st.Misses != 0 {
+		t.Errorf("non-finite specs reached the cache: %+v", st)
 	}
 }

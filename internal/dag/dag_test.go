@@ -517,3 +517,61 @@ func equalPath(a, b []string) bool {
 	}
 	return true
 }
+
+// TestAddEdgesMatchesAddEdge checks the batched insert against one AddEdge
+// per edge: the same graph on success, the same error and the same
+// partial graph on failure, on a graph that already has edges.
+func TestAddEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	ids := []string{"a", "b", "c", "d", "e", "f"}
+	for trial := 0; trial < 500; trial++ {
+		one, batch := New(), New()
+		for _, id := range ids {
+			one.MustAddNode(id)
+			batch.MustAddNode(id)
+		}
+		one.MustAddEdge("a", "b")
+		batch.MustAddEdge("a", "b")
+		var edges [][2]string
+		for i := rng.IntN(12); i > 0; i-- {
+			from, to := ids[rng.IntN(len(ids))], ids[rng.IntN(len(ids))]
+			if rng.IntN(20) == 0 {
+				to = "zz" // unknown endpoint
+			}
+			edges = append(edges, [2]string{from, to})
+		}
+		var wantErr error
+		for _, e := range edges {
+			if wantErr = one.AddEdge(e[0], e[1]); wantErr != nil {
+				break
+			}
+		}
+		gotErr := batch.AddEdges(edges)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("edges %v: AddEdges err %v, AddEdge err %v", edges, gotErr, wantErr)
+		}
+		if one.NumEdges() != batch.NumEdges() {
+			t.Fatalf("edges %v: %d edges, want %d", edges, batch.NumEdges(), one.NumEdges())
+		}
+		for _, id := range ids {
+			if strings.Join(one.Succ(id), ",") != strings.Join(batch.Succ(id), ",") ||
+				strings.Join(one.Pred(id), ",") != strings.Join(batch.Pred(id), ",") {
+				t.Fatalf("edges %v: adjacency of %s differs", edges, id)
+			}
+		}
+		// Appends past a carved list must not spill into its neighbour's.
+		for _, x := range ids {
+			for _, y := range ids {
+				if (one.AddEdge(x, y) == nil) != (batch.AddEdge(x, y) == nil) {
+					t.Fatalf("edges %v: later AddEdge(%s, %s) disagrees", edges, x, y)
+				}
+			}
+		}
+		for _, id := range ids {
+			if strings.Join(one.Succ(id), ",") != strings.Join(batch.Succ(id), ",") ||
+				strings.Join(one.Pred(id), ",") != strings.Join(batch.Pred(id), ",") {
+				t.Fatalf("edges %v: adjacency of %s differs after later edits", edges, id)
+			}
+		}
+	}
+}

@@ -92,6 +92,45 @@ func (g *Graph) AddEdge(from, to string) error {
 	return nil
 }
 
+// AddEdges inserts edges in order, exactly as repeated AddEdge calls
+// would, stopping at the first error. The adjacency lists of the touched
+// nodes are first carved out of two arrays sized for the whole batch, so
+// building a graph edge by edge does not regrow every list.
+func (g *Graph) AddEdges(edges [][2]string) error {
+	out := make([]int, len(g.order))
+	in := make([]int, len(g.order))
+	total := 0
+	for _, e := range edges {
+		fi, okf := g.index[e[0]]
+		ti, okt := g.index[e[1]]
+		if okf && okt {
+			out[fi]++
+			in[ti]++
+			total++
+		}
+	}
+	succ := make([]string, 0, total+g.edges)
+	pred := make([]string, 0, total+g.edges)
+	for i, id := range g.order {
+		if n := out[i]; n > 0 {
+			s := g.succ[id]
+			g.succ[id] = append(succ[len(succ):len(succ):len(succ)+len(s)+n], s...)
+			succ = succ[:len(succ)+len(s)+n]
+		}
+		if n := in[i]; n > 0 {
+			p := g.pred[id]
+			g.pred[id] = append(pred[len(pred):len(pred):len(pred)+len(p)+n], p...)
+			pred = pred[:len(pred)+len(p)+n]
+		}
+	}
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MustAddEdge is AddEdge that panics on error.
 func (g *Graph) MustAddEdge(from, to string) {
 	if err := g.AddEdge(from, to); err != nil {

@@ -98,14 +98,14 @@ func (s *Scanner) Peek() byte {
 	if s.err != nil {
 		return 0
 	}
-	for s.pos < len(s.data) {
-		switch c := s.data[s.pos]; c {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
+	d := s.data
+	for i := s.pos; i < len(d); i++ {
+		if c := d[i]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
+			s.pos = i
 			return c
 		}
 	}
+	s.pos = len(d)
 	return 0
 }
 

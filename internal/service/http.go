@@ -446,7 +446,8 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownFingerprint):
 		return http.StatusNotFound
-	case errors.Is(err, ErrTooManyRuns), errors.Is(err, ErrBatchTooLarge), errors.Is(err, errNilSpec):
+	case errors.Is(err, ErrTooManyRuns), errors.Is(err, ErrBatchTooLarge), errors.Is(err, errNilSpec),
+		errors.As(err, new(invalidRequest)):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests

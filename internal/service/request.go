@@ -16,10 +16,10 @@ import (
 // are decoded in one pass over the body: the envelope and its inline
 // spec share one jsonx.Scanner, so the spec is never copied out and
 // scanned again. The rules are encoding/json's for the wire structs these
-// decoders replaced (unknown envelope fields ignored, last duplicate
-// wins, null leaves a value alone), with one difference: when a body
-// repeats the "spec" member, every copy is decoded, so a bad earlier copy
-// fails the request where encoding/json would only have decoded the last.
+// decoders replaced: unknown envelope fields ignored, last duplicate
+// wins, null leaves a value alone. A type error inside an inline spec is
+// the spec's own error (a batch item's bad spec fails only its slot), as
+// it was when the spec was a json.RawMessage decoded afterwards.
 
 // configureRequest is one configure request: exactly one of a built-in
 // workload name or an inline spec in the DecodeSpec JSON format, plus the
@@ -200,6 +200,10 @@ func readRequest(w http.ResponseWriter, r *http.Request, dispatch bool) (*config
 	if err != nil {
 		return nil, err
 	}
+	return decodeRequest(body, dispatch)
+}
+
+func decodeRequest(body []byte, dispatch bool) (*configureRequest, error) {
 	s := jsonx.NewScanner(body)
 	cr := new(configureRequest)
 	cr.scan(s, dispatch)

@@ -1,0 +1,213 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"aarc/internal/inputaware"
+	"aarc/internal/workflow"
+	"aarc/internal/workloads"
+)
+
+// The wire structs the single-pass request decoders replaced, decoded
+// with encoding/json: the oracle of FuzzRequestDifferential.
+
+type oracleSpecSource struct {
+	Workload string          `json:"workload,omitempty"`
+	Spec     json.RawMessage `json:"spec,omitempty"`
+}
+
+func (ss oracleSpecSource) spec() (*workflow.Spec, error) {
+	switch {
+	case ss.Workload != "" && len(ss.Spec) > 0:
+		return nil, errors.New("both")
+	case ss.Workload != "":
+		return workloads.ByName(ss.Workload)
+	case len(ss.Spec) > 0:
+		return workflow.DecodeSpec(bytes.NewReader(ss.Spec))
+	default:
+		return nil, errors.New("missing")
+	}
+}
+
+type oracleKnobs struct {
+	Method       string  `json:"method,omitempty"`
+	Seed         *uint64 `json:"seed,omitempty"`
+	SLOMS        float64 `json:"slo_ms,omitempty"`
+	MaxSamples   int     `json:"max_samples,omitempty"`
+	MaxSimCostMS float64 `json:"max_sim_cost_ms,omitempty"`
+	InputScale   float64 `json:"input_scale,omitempty"`
+}
+
+func (rk oracleKnobs) options() RequestOptions {
+	return RequestOptions{
+		Method: rk.Method, Seed: rk.Seed, SLOMS: rk.SLOMS, MaxSamples: rk.MaxSamples,
+		MaxSimCostMS: rk.MaxSimCostMS, InputScale: rk.InputScale,
+	}
+}
+
+type oracleConfigure struct {
+	oracleSpecSource
+	oracleKnobs
+}
+
+type oracleDispatch struct {
+	oracleSpecSource
+	oracleKnobs
+	Scale   float64 `json:"scale"`
+	Classes []struct {
+		Name  string  `json:"name"`
+		Scale float64 `json:"scale"`
+	} `json:"classes,omitempty"`
+}
+
+type oracleBatch struct {
+	Requests []oracleConfigure `json:"requests"`
+}
+
+// requestCorpus seeds both request fuzzers: well-formed bodies of each
+// endpoint, the seed (uint64) and max_samples (int) knobs at and past
+// their ranges, and the envelope quirks encoding/json has.
+var requestCorpus = []string{
+	`{"workload":"chatbot"}`,
+	`{"workload":"chatbot","method":"stub","seed":7,"slo_ms":9000,"max_samples":5,"max_sim_cost_ms":1e6,"input_scale":1.5}`,
+	`{"spec":{"name":"x","slo_ms":60000,"nodes":[{"id":"a","profile":{"cpu_work_ms":100,"footprint_mb":256,"min_mem_mb":128}},{"id":"b","profile":{"cpu_work_ms":100,"footprint_mb":256,"min_mem_mb":128}}],"edges":[["a","b"]],"base":{"cpu":2,"mem_mb":1024}},"method":"stub"}`,
+	`{"spec":{"name":"x"},"spec":{"name":"x","slo_ms":60000,"nodes":[{"id":"a","profile":{"footprint_mb":256,"min_mem_mb":128}}],"base":{"cpu":2,"mem_mb":1024}}}`,
+	`{"spec":null}`, `{"spec":5}`, `{"spec":{}}`, `{"workload":"chatbot","spec":{}}`, `{"workload":""}`, `{"workload":null}`,
+	`{"workload":"nope"}`, `{"workload":5}`, `{"WORKLOAD":"chatbot","Method":"stub"}`, `{"workload":"chatbot","extra":[1,{"a":null}]}`,
+	`{"workload":"chatbot","method":"nope"}`,
+	// seed: uint64 bounds, signs, fractions, exponents, null.
+	`{"workload":"chatbot","seed":18446744073709551615}`,
+	`{"workload":"chatbot","seed":18446744073709551616}`,
+	`{"workload":"chatbot","seed":-1}`, `{"workload":"chatbot","seed":1.5}`, `{"workload":"chatbot","seed":1e3}`,
+	`{"workload":"chatbot","seed":"7"}`, `{"workload":"chatbot","seed":null}`, `{"workload":"chatbot","seed":3,"seed":null}`,
+	`{"workload":"chatbot","seed":-0}`, `{"workload":"chatbot","seed":01}`,
+	// max_samples: int bounds.
+	`{"workload":"chatbot","max_samples":9223372036854775807}`,
+	`{"workload":"chatbot","max_samples":9223372036854775808}`,
+	`{"workload":"chatbot","max_samples":-9223372036854775808}`,
+	`{"workload":"chatbot","max_samples":2.0}`, `{"workload":"chatbot","max_samples":1e2}`, `{"workload":"chatbot","max_samples":-3}`,
+	`{"workload":"chatbot","slo_ms":1e400}`, `{"workload":"chatbot","input_scale":-1}`,
+	// dispatch members.
+	`{"workload":"video-analysis","method":"stub","scale":1.4}`,
+	`{"workload":"video-analysis","method":"stub","scale":1.4,"classes":[{"name":"s","scale":0.5},{"name":"l","scale":2}]}`,
+	`{"workload":"video-analysis","method":"stub","scale":1.4,"classes":[{"name":"s","scale":0.5}],"classes":[null,{"NAME":"m"}]}`,
+	`{"workload":"video-analysis","method":"stub","scale":0}`, `{"workload":"video-analysis","scale":"big"}`, `{"workload":"video-analysis","classes":{}}`,
+	// batch bodies.
+	`{"requests":[{"workload":"chatbot","method":"stub"},{"workload":"nope"},{"spec":{"name":"x"}}]}`,
+	`{"requests":[{"workload":"chatbot"}],"requests":[{"method":"stub"}]}`,
+	`{"requests":null}`, `{"requests":[]}`, `{"requests":{}}`, `{"requests":[5]}`, `{"requests":[{"seed":"x"}]}`,
+	// Documents that are not request objects.
+	``, `null`, `[]`, `"x"`, `{`, `{"workload":"chatbot"} trailing`, `{"workload":"chatbot"`, `{"workload":"chatbot",}`,
+}
+
+// FuzzRequestDifferential runs the configure, dispatch and batch decoders
+// against encoding/json on the structs they replaced: the same envelope
+// errors, and on accepted bodies the same options, the same spec (or the
+// same spec failure) per request.
+func FuzzRequestDifferential(f *testing.F) {
+	for _, b := range requestCorpus {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var oc oracleConfigure
+		cr, err := decodeRequest(body, false)
+		checkEnvelope(t, body, json.NewDecoder(bytes.NewReader(body)).Decode(&oc), err)
+		if err == nil {
+			checkRequest(t, body, oc.oracleSpecSource, oc.options(), cr)
+		}
+
+		var od oracleDispatch
+		dr, err := decodeRequest(body, true)
+		checkEnvelope(t, body, json.NewDecoder(bytes.NewReader(body)).Decode(&od), err)
+		if err == nil {
+			checkRequest(t, body, od.oracleSpecSource, od.options(), dr)
+			var want []inputaware.Class
+			for _, c := range od.Classes {
+				want = append(want, inputaware.Class{Name: c.Name, Scale: c.Scale})
+			}
+			if dr.scale != od.Scale || !reflect.DeepEqual(dr.inputClasses(), want) {
+				t.Fatalf("body %q: dispatch scale/classes %v %v, want %v %v", body, dr.scale, dr.inputClasses(), od.Scale, want)
+			}
+		}
+
+		var ob oracleBatch
+		reqs, err := decodeBatch(body)
+		checkEnvelope(t, body, json.NewDecoder(bytes.NewReader(body)).Decode(&ob), err)
+		if err == nil {
+			if len(reqs) != len(ob.Requests) {
+				t.Fatalf("body %q: %d batch items, want %d", body, len(reqs), len(ob.Requests))
+			}
+			for i := range reqs {
+				checkRequest(t, body, ob.Requests[i].oracleSpecSource, ob.Requests[i].options(), &reqs[i])
+			}
+		}
+	})
+}
+
+func checkEnvelope(t *testing.T, body []byte, want, got error) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("body %q: envelope err %v, encoding/json err %v", body, got, want)
+	}
+}
+
+func checkRequest(t *testing.T, body []byte, ss oracleSpecSource, opts RequestOptions, cr *configureRequest) {
+	t.Helper()
+	if !reflect.DeepEqual(cr.opts, opts) {
+		t.Fatalf("body %q: options %+v, want %+v", body, cr.opts, opts)
+	}
+	got, gerr := cr.source()
+	want, werr := ss.spec()
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("body %q: spec err %v, encoding/json path err %v", body, gerr, werr)
+	}
+	if gerr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q: decoded specs differ", body)
+	}
+}
+
+// FuzzHandler posts arbitrary bodies to every endpoint that decodes one.
+// Nothing may panic, and a request the service rejects before its cache
+// lookup — malformed JSON, a bad spec, an unknown method or workload, a
+// bad knob — must get a 4xx, never a 500. A 500 stays possible only from
+// a search that ran and failed (the fault-injecting "failing" method, or
+// a spec whose base configuration misses its SLO).
+func FuzzHandler(f *testing.F) {
+	for _, b := range requestCorpus {
+		f.Add([]byte(b))
+	}
+	svc := stubService(f, Config{MaxSamples: 4})
+	h := NewHandler(svc)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/configure", "/v1/configure:batch", "/v1/dispatch"} {
+			before := svc.Stats()
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			after := svc.Stats()
+			if after.Panics != before.Panics {
+				t.Fatalf("POST %s %q panicked: %s", path, body, rr.Body.Bytes())
+			}
+			looked := after.Hits+after.Misses != before.Hits+before.Misses
+			if rr.Code == http.StatusInternalServerError && !looked {
+				t.Fatalf("POST %s %q: 500 before any cache lookup: %s", path, body, rr.Body.Bytes())
+			}
+			if path == "/v1/configure:batch" && rr.Code == http.StatusOK {
+				var out batchConfigureResponse
+				if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+					t.Fatalf("POST %s %q: unreadable batch response: %v", path, body, err)
+				}
+				for _, item := range out.Results {
+					if item.Status == http.StatusInternalServerError && !looked {
+						t.Fatalf("POST %s %q: item 500 before any cache lookup: %s", path, body, item.Error)
+					}
+				}
+			}
+		}
+	})
+}

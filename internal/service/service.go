@@ -656,7 +656,7 @@ func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, err
 	}
 	version, err := search.Version(r.method)
 	if err != nil {
-		return resolved{}, err
+		return resolved{}, invalidRequest{err}
 	}
 	r.version = version
 	if ro.Seed != nil {
@@ -1134,7 +1134,7 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 		return nil, false, errors.New("service: Dispatch with nil spec")
 	}
 	if scale <= 0 {
-		return nil, false, fmt.Errorf("service: Dispatch with non-positive input scale %v", scale)
+		return nil, false, invalidRequest{fmt.Errorf("service: Dispatch with non-positive input scale %v", scale)}
 	}
 	if len(classes) == 0 {
 		classes = inputaware.DefaultVideoClasses()
@@ -1199,6 +1199,14 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 		Assignment:  wireAssignment(a),
 	}, cacheHit, nil
 }
+
+// invalidRequest marks an error the request itself caused before any
+// cache lookup (an unknown method, a bad dispatch scale): HTTP 400, not
+// 500.
+type invalidRequest struct{ err error }
+
+func (e invalidRequest) Error() string { return e.err.Error() }
+func (e invalidRequest) Unwrap() error { return e.err }
 
 // ErrUnknownFingerprint is returned by Evaluate/Validate and
 // RecommendationJSON when the fingerprint has no stored entry (never

@@ -368,7 +368,9 @@ func scanLimits(s *jsonx.Scanner, l *limitsJSON) {
 func (d *specDoc) build() (*Spec, error) {
 	g := dag.NewWithCapacity(len(d.nodes))
 	profiles := make(map[string]perfmodel.Profile, len(d.nodes))
-	groups := make(map[string]string)
+	groups := make(map[string]string, len(d.nodes))
+	// Scatter instances share a group name: one string per distinct name.
+	names := make(map[string]string)
 	for i := range d.nodes {
 		n := &d.nodes[i]
 		id := string(n.id)
@@ -389,13 +391,20 @@ func (d *specDoc) build() (*Spec, error) {
 			InputSensitive: p.InputSensitive,
 		}
 		if len(n.group) > 0 {
-			groups[id] = string(n.group)
+			grp, ok := names[string(n.group)]
+			if !ok {
+				grp = string(n.group)
+				names[grp] = grp
+			}
+			groups[id] = grp
 		}
 	}
-	for _, e := range d.edges {
-		if err := g.AddEdge(g.Intern(e[0]), g.Intern(e[1])); err != nil {
-			return nil, err
-		}
+	edges := make([][2]string, len(d.edges))
+	for i, e := range d.edges {
+		edges[i] = [2]string{g.Intern(e[0]), g.Intern(e[1])}
+	}
+	if err := g.AddEdges(edges); err != nil {
+		return nil, err
 	}
 
 	lim := resources.DefaultLimits()
