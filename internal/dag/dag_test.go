@@ -575,3 +575,56 @@ func TestAddEdgesMatchesAddEdge(t *testing.T) {
 		}
 	}
 }
+
+// validateReference is Validate as it was first written, on the public
+// API: TopoSort for emptiness and cycles, then sources, sinks and an
+// undirected walk from the first node.
+func validateReference(g *Graph) error {
+	if _, err := g.TopoSort(); err != nil {
+		return err
+	}
+	if len(g.Sources()) == 0 {
+		return errors.New("dag: no source node")
+	}
+	if len(g.Sinks()) == 0 {
+		return errors.New("dag: no sink node")
+	}
+	nodes := g.Nodes()
+	seen := map[string]bool{}
+	stack := []string{nodes[0]}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		stack = append(stack, g.Succ(id)...)
+		stack = append(stack, g.Pred(id)...)
+	}
+	if len(seen) != len(nodes) {
+		return errors.New("dag: graph is disconnected")
+	}
+	return nil
+}
+
+// TestValidateMatchesReference: the one-pass Validate reports the same
+// error as the reference on random graphs, cyclic and disconnected ones
+// included.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 11))
+	for trial := 0; trial < 2000; trial++ {
+		g := New()
+		n := rng.IntN(7)
+		for i := 0; i < n; i++ {
+			g.MustAddNode(string(rune('a' + i)))
+		}
+		for e := rng.IntN(2*n + 1); e > 0 && n > 1; e-- {
+			_ = g.AddEdge(string(rune('a'+rng.IntN(n))), string(rune('a'+rng.IntN(n))))
+		}
+		got, want := g.Validate(), validateReference(g)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("graph %v: Validate = %v, reference = %v", g.Nodes(), got, want)
+		}
+	}
+}

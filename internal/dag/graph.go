@@ -348,41 +348,73 @@ func insertByIndex(ready []int, i int) []int {
 
 // Validate checks that the graph is non-empty, acyclic, and that every node
 // is reachable in the undirected sense from the first source (i.e. the
-// workflow is one connected component).
+// workflow is one connected component). Errors come in that order:
+// ErrEmpty, ErrCycle, no source, no sink, disconnected.
+//
+// It is one pass of Kahn's algorithm on insertion indices, like TopoSort
+// but counting instead of ordering, with a union-find over the edges it
+// walks for the connectivity check: it runs on every spec validation,
+// twice per configure request.
 func (g *Graph) Validate() error {
-	if _, err := g.TopoSort(); err != nil {
-		return err
+	n := len(g.order)
+	if n == 0 {
+		return ErrEmpty
 	}
-	if len(g.Sources()) == 0 {
+	indeg := make([]int, n)
+	ready := make([]int, 0, n)
+	hasSink := false
+	for i, id := range g.order {
+		indeg[i] = len(g.pred[id])
+		if indeg[i] == 0 {
+			ready = append(ready, i)
+		}
+		if len(g.succ[id]) == 0 {
+			hasSink = true
+		}
+	}
+	hasSource := len(ready) > 0
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	components := n
+	visited := 0
+	for len(ready) > 0 {
+		i := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		visited++
+		for _, s := range g.succ[g.order[i]] {
+			si := g.index[s]
+			if a, b := find(parent, i), find(parent, si); a != b {
+				parent[a] = b
+				components--
+			}
+			indeg[si]--
+			if indeg[si] == 0 {
+				ready = append(ready, si)
+			}
+		}
+	}
+	switch {
+	case visited != n:
+		return ErrCycle
+	case !hasSource:
 		return errors.New("dag: no source node")
-	}
-	if len(g.Sinks()) == 0 {
+	case !hasSink:
 		return errors.New("dag: no sink node")
-	}
-	// Undirected connectivity check, on insertion indices like TopoSort.
-	seen := make([]bool, len(g.order))
-	stack := make([]int, 1, len(g.order))
-	reached := 0
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		reached++
-		id := g.order[i]
-		for _, n := range g.succ[id] {
-			stack = append(stack, g.index[n])
-		}
-		for _, n := range g.pred[id] {
-			stack = append(stack, g.index[n])
-		}
-	}
-	if reached != len(g.order) {
+	case components != 1:
 		return errors.New("dag: graph is disconnected")
 	}
 	return nil
+}
+
+// find returns the root of i's set, halving the path on the way.
+func find(parent []int, i int) int {
+	for parent[i] != i {
+		parent[i] = parent[parent[i]]
+		i = parent[i]
+	}
+	return i
 }
 
 // HasPath reports whether a directed path exists from src to dst.

@@ -9,6 +9,14 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe marks the ASCII bytes json.Marshal writes unescaped.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // AppendString appends s as a JSON string, byte for byte as json.Marshal
 // writes it: <, > and & escaped, U+2028 and U+2029 escaped, and each byte
 // of invalid UTF-8 replaced by \ufffd.
@@ -17,7 +25,7 @@ func AppendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if htmlSafe[b] {
 				i++
 				continue
 			}
@@ -71,6 +79,17 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
+	// An integer below 1e15 is exactly representable with room to spare,
+	// so its shortest round-trip decimal is its own digits.
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		if f == 0 && math.Signbit(f) {
+			return append(dst, '-', '0'), nil
+		}
+		return strconv.AppendInt(dst, int64(f), 10), nil
+	}
+	if b, ok := appendShortDecimal(dst, f); ok {
+		return b, nil
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -83,4 +102,40 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// appendShortDecimal writes f when it is, to the last bit, the float
+// nearest a decimal with one to three places below 1e11 (0.2, 1.5,
+// 0.02), without the general shortest-digits search. It reports false
+// for anything else. The output matches strconv's shortest form: the
+// decimal round-trips (float64(n)/10^k is correctly rounded), it has no
+// trailing zero, and below 1e11 a float's spacing is under 10^-3, so no
+// other decimal with as few places round-trips.
+func appendShortDecimal(dst []byte, f float64) ([]byte, bool) {
+	a := math.Abs(f)
+	if a >= 1e11 {
+		return dst, false
+	}
+	for k, pow := 1, 10.0; k <= 3; k, pow = k+1, pow*10 {
+		m := a * pow
+		if m != math.Trunc(m) {
+			continue
+		}
+		n := int64(m)
+		if n%10 == 0 || float64(n)/pow != a {
+			return dst, false
+		}
+		if f < 0 {
+			dst = append(dst, '-')
+		}
+		p := int64(pow)
+		dst = strconv.AppendInt(dst, n/p, 10)
+		dst = append(dst, '.')
+		frac := n % p
+		for q := p / 10; q > frac && q > 1; q /= 10 {
+			dst = append(dst, '0')
+		}
+		return strconv.AppendInt(dst, frac, 10), true
+	}
+	return dst, false
 }

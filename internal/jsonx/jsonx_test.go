@@ -61,6 +61,9 @@ func FuzzAppend(f *testing.F) {
 	f.Add("x", 5e-324)
 	f.Add("x", math.MaxFloat64)
 	f.Add("x", 123456789.125)
+	f.Add("x", 0.2)
+	f.Add("x", -10.05)
+	f.Add("x", 99999999999.999)
 	f.Fuzz(func(t *testing.T, str string, x float64) {
 		want, err := json.Marshal(str)
 		if err != nil {
@@ -75,6 +78,29 @@ func FuzzAppend(f *testing.F) {
 			t.Fatalf("AppendFloat(%v) = %s, %v; json.Marshal gives %s, %v", x, got, gerr, want, werr)
 		}
 	})
+}
+
+// TestAppendFloatShortDecimals sweeps the decimals the short path takes,
+// and their neighbours one bit away, against json.Marshal.
+func TestAppendFloatShortDecimals(t *testing.T) {
+	check := func(x float64) {
+		want, _ := json.Marshal(x)
+		if got, err := AppendFloat(nil, x); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("AppendFloat(%v) = %s, %v; json.Marshal gives %s", x, got, err, want)
+		}
+	}
+	for n := int64(-30000); n <= 30000; n++ {
+		for _, pow := range []float64{10, 100, 1000} {
+			x := float64(n) / pow
+			check(x)
+			check(math.Nextafter(x, math.Inf(1)))
+			check(math.Nextafter(x, math.Inf(-1)))
+		}
+	}
+	for _, x := range []float64{0.1 + 0.2, 1e11 - 0.5, 99999999999.999, 1e10 + 0.125, 0.001, 0.009, 123456.789, -0.05} {
+		check(x)
+		check(math.Nextafter(x, 0))
+	}
 }
 
 func TestAppendFloatNonFinite(t *testing.T) {

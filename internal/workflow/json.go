@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,17 +80,20 @@ type limitsJSON struct {
 	MemStepMB float64 `json:"mem_step_mb"`
 }
 
-// DecodeSpec parses a JSON workflow definition and validates it. The
-// decoding rules are encoding/json's for the specJSON struct with unknown
-// fields disallowed (see package jsonx): a value DecodeSpec accepts is one
-// json.Decoder would have decoded to the same spec, and bytes after the
-// first JSON value are ignored.
+// DecodeSpec reads r to the end, parses the JSON workflow definition at
+// its start and validates it. The decoding rules are encoding/json's for
+// the specJSON struct with unknown fields disallowed (see package jsonx):
+// DecodeSpec accepts exactly the inputs json.Decoder accepted, decodes
+// them to the same spec, and ignores bytes after the first JSON value.
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("workflow: reading spec: %w", err)
 	}
-	return ScanSpec(jsonx.NewScanner(b))
+	return ScanSpec(jsonx.NewScanner(buf.Bytes()))
 }
 
 // ScanSpec decodes the spec value at the scanner's position, in the

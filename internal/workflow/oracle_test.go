@@ -2,8 +2,10 @@ package workflow
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"aarc/internal/dag"
@@ -131,4 +133,63 @@ func canonicalJSONReflect(spec *Spec) ([]byte, error) {
 	// encoding/json writes struct fields in declaration order and string-keyed
 	// maps sorted by key, so the bytes are a pure function of the spec.
 	return json.Marshal(cs)
+}
+
+// validateReference is Spec.Validate before its group checks became one
+// unsorted pass: the oracle for which violation an invalid spec reports.
+func validateReference(s *Spec) error {
+	if s.Name == "" {
+		return errors.New("workflow: spec needs a name")
+	}
+	if s.G == nil {
+		return errors.New("workflow: spec needs a DAG")
+	}
+	if err := s.G.Validate(); err != nil {
+		return fmt.Errorf("workflow %s: %w", s.Name, err)
+	}
+	if math.IsNaN(s.SLOMS) || math.IsInf(s.SLOMS, 0) {
+		return fmt.Errorf("workflow %s: non-finite SLOMS %v", s.Name, s.SLOMS)
+	}
+	if s.SLOMS <= 0 {
+		return fmt.Errorf("workflow %s: non-positive SLO %v", s.Name, s.SLOMS)
+	}
+	if err := s.Limits.Validate(); err != nil {
+		return fmt.Errorf("workflow %s: %w", s.Name, err)
+	}
+	for _, id := range s.G.Nodes() {
+		p, ok := s.Profiles[id]
+		if !ok {
+			return fmt.Errorf("workflow %s: node %q has no profile", s.Name, id)
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("workflow %s: node %q: %w", s.Name, id, err)
+		}
+	}
+	for _, g := range s.FunctionGroups() {
+		cfg, ok := s.Base[g]
+		if !ok {
+			return fmt.Errorf("workflow %s: group %q has no base config", s.Name, g)
+		}
+		if math.IsNaN(cfg.CPU) || math.IsInf(cfg.CPU, 0) || math.IsNaN(cfg.MemMB) || math.IsInf(cfg.MemMB, 0) {
+			return fmt.Errorf("workflow %s: group %q base config %v is not finite", s.Name, g, cfg)
+		}
+		if !cfg.Valid() || !s.Limits.Contains(cfg) {
+			return fmt.Errorf("workflow %s: group %q base config %v invalid or outside limits", s.Name, g, cfg)
+		}
+	}
+	nodes := make([]string, 0, len(s.Groups))
+	for node := range s.Groups {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
+	for _, node := range nodes {
+		g := s.Groups[node]
+		if !s.G.HasNode(node) {
+			return fmt.Errorf("workflow %s: group mapping for unknown node %q", s.Name, node)
+		}
+		if g == "" {
+			return fmt.Errorf("workflow %s: empty group for node %q", s.Name, node)
+		}
+	}
+	return nil
 }

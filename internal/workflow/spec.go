@@ -74,6 +74,21 @@ func (s *Spec) NodesInGroup(group string) []string {
 	return out
 }
 
+// baseErr checks one group's base configuration.
+func (s *Spec) baseErr(g string) error {
+	cfg, ok := s.Base[g]
+	if !ok {
+		return fmt.Errorf("workflow %s: group %q has no base config", s.Name, g)
+	}
+	if math.IsNaN(cfg.CPU) || math.IsInf(cfg.CPU, 0) || math.IsNaN(cfg.MemMB) || math.IsInf(cfg.MemMB, 0) {
+		return fmt.Errorf("workflow %s: group %q base config %v is not finite", s.Name, g, cfg)
+	}
+	if !cfg.Valid() || !s.Limits.Contains(cfg) {
+		return fmt.Errorf("workflow %s: group %q base config %v invalid or outside limits", s.Name, g, cfg)
+	}
+	return nil
+}
+
 // Validate checks structural consistency: a valid DAG, a profile for every
 // node, a base config for every group, limits sanity and a positive SLO.
 func (s *Spec) Validate() error {
@@ -95,6 +110,11 @@ func (s *Spec) Validate() error {
 	if err := s.Limits.Validate(); err != nil {
 		return fmt.Errorf("workflow %s: %w", s.Name, err)
 	}
+	// One pass in insertion order checks the profiles and, without
+	// sorting anything, whether every group's base config and every group
+	// mapping is sound; only a spec that fails one of those pays for the
+	// sorted walks that pick which violation to report.
+	baseOK, groupsOK, mapped := true, true, 0
 	for i := 0; i < s.G.NumNodes(); i++ {
 		id := s.G.NodeAt(i)
 		p, ok := s.Profiles[id]
@@ -104,19 +124,28 @@ func (s *Spec) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("workflow %s: node %q: %w", s.Name, id, err)
 		}
+		grp := id
+		if g, ok := s.Groups[id]; ok {
+			mapped++
+			if g == "" {
+				groupsOK = false
+			} else {
+				grp = g
+			}
+		}
+		if baseOK && s.baseErr(grp) != nil {
+			baseOK = false
+		}
 	}
-	groups := s.FunctionGroups()
-	for _, g := range groups {
-		cfg, ok := s.Base[g]
-		if !ok {
-			return fmt.Errorf("workflow %s: group %q has no base config", s.Name, g)
+	if !baseOK {
+		for _, g := range s.FunctionGroups() {
+			if err := s.baseErr(g); err != nil {
+				return err
+			}
 		}
-		if math.IsNaN(cfg.CPU) || math.IsInf(cfg.CPU, 0) || math.IsNaN(cfg.MemMB) || math.IsInf(cfg.MemMB, 0) {
-			return fmt.Errorf("workflow %s: group %q base config %v is not finite", s.Name, g, cfg)
-		}
-		if !cfg.Valid() || !s.Limits.Contains(cfg) {
-			return fmt.Errorf("workflow %s: group %q base config %v invalid or outside limits", s.Name, g, cfg)
-		}
+	}
+	if groupsOK && mapped == len(s.Groups) {
+		return nil
 	}
 	// Sorted so an invalid spec reports the same violation every run:
 	// Validate guards CanonicalJSON, and a map-order-dependent error

@@ -3,6 +3,7 @@ package workflow
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -55,4 +56,33 @@ func setProfile(s *Spec, id string, f func(*perfmodel.Profile)) {
 	p := s.Profiles[id]
 	f(&p)
 	s.Profiles[id] = p
+}
+
+// TestValidateMatchesReference: on specs broken in several places at
+// once, Validate reports the same violation as the sorted reference.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	breaks := []func(*Spec){
+		func(s *Spec) { delete(s.Profiles, "c") },
+		func(s *Spec) { delete(s.Base, "mid") },
+		func(s *Spec) { delete(s.Base, "a") },
+		func(s *Spec) { s.Base["d"] = resources.Config{CPU: 99, MemMB: 4096} },
+		func(s *Spec) { s.Base["mid"] = resources.Config{CPU: 0, MemMB: 4096} },
+		func(s *Spec) { s.Groups["c"] = "" },
+		func(s *Spec) { s.Groups["a"] = "" },
+		func(s *Spec) { s.Groups["zz"] = "mid" },
+		func(s *Spec) { s.Groups["b"] = "solo" },
+		func(s *Spec) { s.Groups["d"] = "mid" },
+		func(s *Spec) { s.Base["extra"] = resources.Config{CPU: -1} },
+	}
+	for trial := 0; trial < 500; trial++ {
+		spec := fingerprintSpec(t, trial%2 == 1)
+		for _, i := range rng.Perm(len(breaks))[:rng.IntN(4)] {
+			breaks[i](spec)
+		}
+		got, want := spec.Validate(), validateReference(spec)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("Validate = %v, reference = %v", got, want)
+		}
+	}
 }
