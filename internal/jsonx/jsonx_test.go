@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,34 @@ func TestAppendFloatShortDecimals(t *testing.T) {
 	for _, x := range []float64{0.1 + 0.2, 1e11 - 0.5, 99999999999.999, 1e10 + 0.125, 0.001, 0.009, 123456.789, -0.05} {
 		check(x)
 		check(math.Nextafter(x, 0))
+	}
+}
+
+// TestEscapedStringsCostTheirOwnSize: unescaping a string allocates for
+// that string, not for the rest of the document, and skipping one
+// allocates nothing.
+func TestEscapedStringsCostTheirOwnSize(t *testing.T) {
+	doc := []byte("[" + strings.Repeat(`"a\u0041\n\ud83d\ude00b",`, 20000) + `"end"]`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewScanner(doc)
+	n := 0
+	if s.Array() {
+		for s.More(']') {
+			if b, ok := s.String(); !ok || string(b) != "aA\n\U0001F600b" && string(b) != "end" {
+				t.Fatalf("String = %q, %v", b, ok)
+			}
+			n++
+		}
+	}
+	skip := NewScanner(doc)
+	skip.Skip()
+	runtime.ReadMemStats(&after)
+	if err := s.Err(); err != nil || n != 20001 || skip.Err() != nil {
+		t.Fatalf("scanned %d strings: %v, skip: %v", n, err, skip.Err())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("scanning a %d-byte document allocated %d bytes", len(doc), grew)
 	}
 }
 

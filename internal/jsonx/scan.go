@@ -376,11 +376,11 @@ func (s *Scanner) Skip() {
 			}
 			open = append(open, close)
 			if close == '}' {
-				s.Key()
+				s.skipKey()
 			}
 			continue
 		case '"':
-			s.str()
+			s.skipStr()
 		case 't':
 			s.literal("true")
 		case 'f':
@@ -400,7 +400,7 @@ func (s *Scanner) Skip() {
 			close := open[len(open)-1]
 			if s.More(close) {
 				if close == '}' {
-					s.Key()
+					s.skipKey()
 				}
 				break
 			}
@@ -410,6 +410,57 @@ func (s *Scanner) Skip() {
 			return
 		}
 	}
+}
+
+func (s *Scanner) skipKey() {
+	if s.Peek() != '"' {
+		s.syntax("looking for beginning of object key string")
+		return
+	}
+	s.skipStr()
+	if s.Peek() != ':' {
+		s.syntax("after object key")
+		return
+	}
+	s.pos++
+}
+
+// skipStr consumes a string literal at s.pos, checking it as str does
+// but without unescaping it.
+func (s *Scanner) skipStr() {
+	d := s.data
+	for i := s.pos + 1; i < len(d); i++ {
+		switch c := d[i]; {
+		case c == '"':
+			s.pos = i + 1
+			return
+		case c < ' ':
+			s.pos = i
+			s.syntax("in string literal")
+			return
+		case c == '\\':
+			if i+1 >= len(d) {
+				break
+			}
+			switch d[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i++
+			case 'u':
+				if getu4(d[i:]) < 0 {
+					s.pos = i
+					s.syntax("in \\u hexadecimal character escape")
+					return
+				}
+				i += 5
+			default:
+				s.pos = i + 1
+				s.syntax("in string escape code")
+				return
+			}
+		}
+	}
+	s.pos = len(d)
+	s.syntax("")
 }
 
 func (s *Scanner) skipNumber() {
@@ -483,8 +534,10 @@ func (s *Scanner) str() []byte {
 		}
 		i += size
 	}
-	out := make([]byte, i-start, len(d)-start)
-	copy(out, d[start:i])
+	// Slow path: unescape into a copy, grown as the string goes (its end
+	// is not known yet, and sizing for the rest of the input would cost
+	// quadratic memory on a document full of escaped strings).
+	out := append(make([]byte, 0, i-start+16), d[start:i]...)
 	for i < len(d) {
 		c := d[i]
 		switch {
@@ -523,10 +576,7 @@ func (s *Scanner) str() []byte {
 			case 'u':
 				r := getu4(d[i:])
 				if r < 0 {
-					s.pos = i + 2
-					for s.pos < len(d) && s.pos < i+6 && isHex(d[s.pos]) {
-						s.pos++
-					}
+					s.pos = i
 					s.syntax("in \\u hexadecimal character escape")
 					return nil
 				}
@@ -557,10 +607,6 @@ func (s *Scanner) str() []byte {
 	s.pos = len(d)
 	s.syntax("")
 	return nil
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // getu4 decodes a \uXXXX escape at the start of b, or returns -1.

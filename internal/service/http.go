@@ -112,11 +112,7 @@ func NewHandler(s *Service) http.Handler {
 		writeCached(w, body, hit)
 	})
 	mux.HandleFunc("POST /v1/configure:batch", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(w, r)
-		var reqs []configureRequest
-		if err == nil {
-			reqs, err = decodeBatch(body)
-		}
+		reqs, err := readBatch(w, r)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

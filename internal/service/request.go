@@ -213,8 +213,17 @@ func decodeRequest(body []byte, dispatch bool) (*configureRequest, error) {
 	return cr, nil
 }
 
-// decodeBatch decodes a POST /v1/configure:batch body, {"requests": [...]}.
-// A bad inline spec stays in its item; any other error fails the batch.
+// readBatch reads and decodes a POST /v1/configure:batch body,
+// {"requests": [...]}. A bad inline spec stays in its item; any other
+// error fails the batch.
+func readBatch(w http.ResponseWriter, r *http.Request) ([]configureRequest, error) {
+	body, err := readBody(w, r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBatch(body)
+}
+
 func decodeBatch(body []byte) ([]configureRequest, error) {
 	s := jsonx.NewScanner(body)
 	var reqs []configureRequest
