@@ -180,11 +180,14 @@ func scanClasses(s *jsonx.Scanner, dst *[]classJSON) {
 	*dst = jsonx.Shrink(v, i)
 }
 
-// readBody reads a POST body up to maxRequestBody.
+// readBody reads a POST body up to maxRequestBody. The buffer starts at
+// the declared length, up to 1 MB, so a large spec is read without
+// regrowing and a client declaring more than it sends cannot make every
+// connection reserve the whole limit.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
-		buf.Grow(int(n) + bytes.MinRead)
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, 1<<20)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
 		return nil, fmt.Errorf("request: decoding body: %w", err)

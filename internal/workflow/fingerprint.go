@@ -18,7 +18,8 @@ import (
 // of the uniform shorthand. Two Specs that describe the same workflow —
 // regardless of construction order — canonicalize to the same bytes, and
 // two that differ in anything result-affecting (profile, group, edge, SLO,
-// base, limits) do not.
+// base, limits) do not. CanonicalJSON writes this shape by hand;
+// DecodeCanonicalSpec reads it back with encoding/json.
 type canonicalSpec struct {
 	Name   string                `json:"name"`
 	SLOMS  float64               `json:"slo_ms"`
