@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -474,6 +475,45 @@ func TestQuickSubpathInvariants(t *testing.T) {
 				if !found {
 					t.Fatalf("subpath uses non-edge %s->%s", sp.Nodes[i-1], sp.Nodes[i])
 				}
+			}
+		}
+	}
+}
+
+// Property: the detour order is the one the scheduler's comparator defines
+// when it recomputes each interior weight per comparison — sorting the
+// result again with that comparator changes nothing.
+func TestQuickSubpathOrderMatchesPerComparisonWeights(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 29))
+	for trial := 0; trial < 200; trial++ {
+		g, w := randomDAG(rng)
+		critical, _, err := CriticalPath(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpIndex := map[string]int{}
+		for i, id := range critical {
+			cpIndex[id] = i
+		}
+		sps, err := FindDetourSubpaths(g, critical, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resorted := append([]Subpath(nil), sps...)
+		sort.SliceStable(resorted, func(i, j int) bool {
+			wi := PathWeight(resorted[i].Interior(), w)
+			wj := PathWeight(resorted[j].Interior(), w)
+			if wi != wj {
+				return wi > wj
+			}
+			if cpIndex[resorted[i].Start] != cpIndex[resorted[j].Start] {
+				return cpIndex[resorted[i].Start] < cpIndex[resorted[j].Start]
+			}
+			return cpIndex[resorted[i].End] < cpIndex[resorted[j].End]
+		})
+		for i := range sps {
+			if sps[i].String() != resorted[i].String() {
+				t.Fatalf("trial %d: detour %d is %s, comparator puts %s there", trial, i, sps[i], resorted[i])
 			}
 		}
 	}

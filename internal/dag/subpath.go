@@ -19,10 +19,15 @@ type Subpath struct {
 // Interior returns the off-critical nodes of the subpath (everything except
 // the two anchors).
 func (s Subpath) Interior() []string {
+	return append([]string(nil), s.interior()...)
+}
+
+// interior is Interior without the copy.
+func (s Subpath) interior() []string {
 	if len(s.Nodes) <= 2 {
 		return nil
 	}
-	return append([]string(nil), s.Nodes[1:len(s.Nodes)-1]...)
+	return s.Nodes[1 : len(s.Nodes)-1]
 }
 
 // String renders the subpath as "A -> x -> y -> B".
@@ -101,17 +106,27 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 		walk(anchor, anchor, nil)
 	}
 
-	sort.SliceStable(out, func(i, j int) bool {
-		wi := PathWeight(out[i].Interior(), weights)
-		wj := PathWeight(out[j].Interior(), weights)
-		if wi != wj {
-			return wi > wj
+	// Each subpath's interior weight is computed once, not per comparison.
+	type weighted struct {
+		sp Subpath
+		w  float64
+	}
+	ws := make([]weighted, len(out))
+	for i, sp := range out {
+		ws[i] = weighted{sp, PathWeight(sp.interior(), weights)}
+	}
+	sort.SliceStable(ws, func(i, j int) bool {
+		if ws[i].w != ws[j].w {
+			return ws[i].w > ws[j].w
 		}
-		if cpIndex[out[i].Start] != cpIndex[out[j].Start] {
-			return cpIndex[out[i].Start] < cpIndex[out[j].Start]
+		if cpIndex[ws[i].sp.Start] != cpIndex[ws[j].sp.Start] {
+			return cpIndex[ws[i].sp.Start] < cpIndex[ws[j].sp.Start]
 		}
-		return cpIndex[out[i].End] < cpIndex[out[j].End]
+		return cpIndex[ws[i].sp.End] < cpIndex[ws[j].sp.End]
 	})
+	for i := range ws {
+		out[i] = ws[i].sp
+	}
 	return out, nil
 }
 

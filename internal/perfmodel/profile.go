@@ -139,11 +139,11 @@ func (p Profile) MinViableMemMB(scale float64) float64 {
 // input scale. It returns an *OOMError when memory is below the floor.
 func (p Profile) MeanRuntime(cfg resources.Config, scale float64) (float64, error) {
 	if cfg.CPU <= 0 {
-		return 0, fmt.Errorf("perfmodel: %s: non-positive CPU %v", p.Name, cfg.CPU)
+		return 0, fmt.Errorf("perfmodel: %s: non-positive CPU %v", p.Name, cfg.CPU) //aarc:coldalloc misuse error; simfaas rejects such configs first
 	}
 	work, io, footprint, minMem := p.scaled(scale)
 	if cfg.MemMB < minMem {
-		return 0, &OOMError{Function: p.Name, MemMB: cfg.MemMB, NeedMB: minMem}
+		return 0, &OOMError{Function: p.Name, MemMB: cfg.MemMB, NeedMB: minMem} //aarc:coldalloc simfaas checks the OOM floor before Runtime; OOMPartialMS gets here only without a footprint
 	}
 
 	serialWork := (1 - p.ParallelFrac) * work

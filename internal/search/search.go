@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"aarc/internal/resources"
@@ -44,6 +45,19 @@ type NodeResult struct {
 	Skipped     bool // true when an upstream OOM aborted the workflow first
 }
 
+// SteadyCost is the node's billed cost with its cold-start portion removed
+// pro rata.
+func (nr NodeResult) SteadyCost() float64 {
+	if nr.RuntimeMS <= 0 {
+		return 0
+	}
+	warmFrac := (nr.RuntimeMS - nr.ColdStartMS) / nr.RuntimeMS
+	if warmFrac < 0 {
+		warmFrac = 0
+	}
+	return nr.Cost * warmFrac
+}
+
 // Result is the outcome of one end-to-end workflow execution.
 type Result struct {
 	E2EMS float64 // makespan of the (possibly aborted) execution
@@ -51,6 +65,29 @@ type Result struct {
 	Nodes map[string]NodeResult
 	OOM   bool   // some invocation was OOM-killed
 	Fail  string // ID of the first failed node, if any
+	// Groups holds the per-group totals the evaluator summed while it
+	// built Nodes. A Result without them sums Nodes on demand.
+	Groups GroupTotals
+}
+
+// GroupTotals is a result's per-group cost bookkeeping: Cost[i] and
+// Steady[i] are the summed cost and steady-state cost of group Names[i],
+// added up in the evaluator's plan order, so the same execution always
+// yields the same bits. The slices are shared and must not be modified.
+type GroupTotals struct {
+	Names  []string
+	Cost   []float64
+	Steady []float64
+}
+
+// group returns the index of group in the totals, or -1.
+func (t GroupTotals) group(group string) int {
+	for i, g := range t.Names {
+		if g == group {
+			return i
+		}
+	}
+	return -1
 }
 
 // PathRuntimeMS sums the runtimes of the listed nodes (a path through the
@@ -65,13 +102,13 @@ func (r Result) PathRuntimeMS(path []string) float64 {
 
 // GroupCost sums the cost of every node in the given configuration group.
 func (r Result) GroupCost(group string) float64 {
-	s := 0.0
-	for _, nr := range r.Nodes {
-		if nr.Group == group {
-			s += nr.Cost
+	if r.Groups.Names != nil {
+		if i := r.Groups.group(group); i >= 0 {
+			return r.Groups.Cost[i]
 		}
+		return 0
 	}
-	return s
+	return r.sumGroup(group, func(nr NodeResult) float64 { return nr.Cost })
 }
 
 // GroupSteadyCost sums the steady-state cost of a group: the billed cost
@@ -80,19 +117,28 @@ func (r Result) GroupCost(group string) float64 {
 // configuration change triggers does not masquerade as a recurring cost
 // increase.
 func (r Result) GroupSteadyCost(group string) float64 {
+	if r.Groups.Names != nil {
+		if i := r.Groups.group(group); i >= 0 {
+			return r.Groups.Steady[i]
+		}
+		return 0
+	}
+	return r.sumGroup(group, NodeResult.SteadyCost)
+}
+
+// sumGroup adds f over the group's nodes in sorted-ID order, so a Result
+// without totals still sums the same way on every call.
+func (r Result) sumGroup(group string, f func(NodeResult) float64) float64 {
+	ids := make([]string, 0, len(r.Nodes))
+	for id, nr := range r.Nodes {
+		if nr.Group == group {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
 	s := 0.0
-	for _, nr := range r.Nodes {
-		if nr.Group != group {
-			continue
-		}
-		if nr.RuntimeMS <= 0 {
-			continue
-		}
-		warmFrac := (nr.RuntimeMS - nr.ColdStartMS) / nr.RuntimeMS
-		if warmFrac < 0 {
-			warmFrac = 0
-		}
-		s += nr.Cost * warmFrac
+	for _, id := range ids {
+		s += f(r.Nodes[id])
 	}
 	return s
 }

@@ -1011,7 +1011,7 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 		},
 		SLOCompliant: out.Final.E2EMS > 0 && !out.Final.OOM && out.Final.E2EMS <= r.sopts.SLOMS,
 	}
-	body, err := json.Marshal(rec)
+	body, err := marshalRecommendation(rec)
 	if err != nil {
 		return nil, store.Entry{}, err
 	}
@@ -1029,7 +1029,7 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 		MaxSimCostMS:  r.sopts.MaxSimCostMS,
 		CreatedUnixMS: time.Now().UnixMilli(),
 	}
-	meta, err := json.Marshal(m)
+	meta, err := marshalEntryMeta(&m)
 	if err != nil {
 		return nil, store.Entry{}, err
 	}

@@ -10,7 +10,6 @@
 package simfaas
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -73,83 +72,103 @@ type Invocation struct {
 	OOM         bool
 }
 
-// warmContainer is one keep-alive pool entry; entries live on the LRU list
-// with the most recently used container at the front.
-type warmContainer struct {
-	key string
-	cfg resources.Config
+// slot is one container key's state: its per-key counters and, while
+// the key holds a warm container, the container's config and its links in
+// the keep-alive LRU list. Slots are registered once per key and never
+// freed, so a slot index stays valid for the platform's lifetime.
+type slot struct {
+	fm         FunctionMetrics
+	cfg        resources.Config // the warm container's config, if warm
+	warm       bool
+	prev, next int // LRU neighbours (noSlot at either end), if warm
 }
 
+const noSlot = -1
+
 // Platform is a simulated FaaS substrate. It is safe for concurrent use.
+//
+// Each container key is bound once to a slot (Slot); the per-invocation
+// path (InvokeSlot) then indexes the slot slice under one lock and
+// allocates nothing. The keep-alive pool is an intrusive doubly linked
+// list threaded through the slots, most recently used at the head.
 type Platform struct {
 	opts Options
 
-	mu      sync.Mutex
-	warm    map[string]*list.Element // container key -> LRU list element
-	lru     *list.List               // of *warmContainer, front = most recent
-	metrics Metrics
-	perFunc map[string]*FunctionMetrics
+	mu         sync.Mutex
+	index      map[string]int // container key -> slot
+	slots      []slot
+	head, tail int // LRU ends, noSlot when the pool is empty
+	nwarm      int
+	metrics    Metrics
 }
 
 // New returns a platform with the given options.
 func New(opts Options) *Platform {
 	return &Platform{
-		opts:    opts,
-		warm:    make(map[string]*list.Element),
-		lru:     list.New(),
-		perFunc: make(map[string]*FunctionMetrics),
+		opts:  opts,
+		index: make(map[string]int),
+		head:  noSlot,
+		tail:  noSlot,
 	}
 }
 
-// warmConfigLocked returns the resident warm config for key. Callers hold
-// p.mu.
-func (p *Platform) warmConfigLocked(key string) (resources.Config, bool) {
-	el, ok := p.warm[key]
-	if !ok {
-		return resources.Config{}, false
+// Slot returns the slot of a container key, registering the key on first
+// use. Callers that invoke the same key repeatedly bind it once and pass
+// the slot to InvokeSlot.
+func (p *Platform) Slot(key string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i, ok := p.index[key]; ok {
+		return i
 	}
-	return el.Value.(*warmContainer).cfg, true
+	i := len(p.slots)
+	p.slots = append(p.slots, slot{prev: noSlot, next: noSlot})
+	p.index[key] = i
+	return i
 }
 
-// storeWarmLocked records key as warm at cfg and stamps it most recently
-// used, evicting the least recently used containers (list back) when the
-// pool is over capacity. O(1) per operation versus the former full-pool
-// scan. Callers hold p.mu.
-func (p *Platform) storeWarmLocked(key string, cfg resources.Config) {
-	if el, ok := p.warm[key]; ok {
-		el.Value.(*warmContainer).cfg = cfg
-		p.lru.MoveToFront(el)
+// unlinkLocked takes slot i out of the keep-alive list, if it is there.
+// Callers hold p.mu.
+func (p *Platform) unlinkLocked(i int) {
+	s := &p.slots[i]
+	if !s.warm {
 		return
 	}
-	if p.opts.MaxWarmContainers > 0 {
-		for p.lru.Len() >= p.opts.MaxWarmContainers {
-			victim := p.lru.Back()
-			p.lru.Remove(victim)
-			delete(p.warm, victim.Value.(*warmContainer).key)
+	if s.prev != noSlot {
+		p.slots[s.prev].next = s.next
+	} else {
+		p.head = s.next
+	}
+	if s.next != noSlot {
+		p.slots[s.next].prev = s.prev
+	} else {
+		p.tail = s.prev
+	}
+	s.warm, s.prev, s.next = false, noSlot, noSlot
+	p.nwarm--
+}
+
+// storeWarmLocked records slot i as warm at cfg and makes it the most
+// recently used container, evicting from the list tail while the pool is
+// at capacity. Callers hold p.mu.
+func (p *Platform) storeWarmLocked(i int, cfg resources.Config) {
+	if p.slots[i].warm {
+		p.unlinkLocked(i)
+	} else if p.opts.MaxWarmContainers > 0 {
+		for p.nwarm >= p.opts.MaxWarmContainers {
+			p.unlinkLocked(p.tail)
 			p.metrics.Evictions++
 		}
 	}
-	p.warm[key] = p.lru.PushFront(&warmContainer{key: key, cfg: cfg})
-}
-
-// dropWarmLocked removes a (dead) container from the pool without counting
-// an eviction. Callers hold p.mu.
-func (p *Platform) dropWarmLocked(key string) {
-	if el, ok := p.warm[key]; ok {
-		p.lru.Remove(el)
-		delete(p.warm, key)
+	s := &p.slots[i]
+	s.cfg, s.warm, s.prev, s.next = cfg, true, noSlot, p.head
+	if p.head != noSlot {
+		p.slots[p.head].prev = i
+	} else {
+		p.tail = i
 	}
-}
-
-// funcMetricsLocked returns (allocating) the per-key metrics. Callers hold
-// p.mu.
-func (p *Platform) funcMetricsLocked(key string) *FunctionMetrics {
-	fm, ok := p.perFunc[key]
-	if !ok {
-		fm = &FunctionMetrics{}
-		p.perFunc[key] = fm
-	}
-	return fm
+	p.head = i
+	p.nwarm++
 }
 
 // ColdStartMS returns the provisioning latency for a container of the given
@@ -167,28 +186,54 @@ func (p *Platform) Invoke(key string, prof perfmodel.Profile, cfg resources.Conf
 	if err := prof.Validate(); err != nil {
 		return Invocation{}, err
 	}
-	if !cfg.Valid() {
-		return Invocation{}, fmt.Errorf("simfaas: invalid config %v for %s", cfg, prof.Name)
-	}
 	if key == "" {
 		key = prof.Name
 	}
+	return p.InvokeSlot(p.Slot(key), &prof, cfg, scale, rng)
+}
 
-	p.mu.Lock()
-	cold := true
-	if p.opts.KeepAlive {
-		if w, ok := p.warmConfigLocked(key); ok && w == cfg {
-			cold = false
+// InvokeSlot is Invoke for a key already bound with Slot. It does not
+// validate prof: callers pass profiles they validated once up front (the
+// workflow runner's plan holds only profiles Spec.Validate accepted). An
+// invocation below the profile's OOM floor is killed without drawing from
+// rng, and the platform's bookkeeping takes the lock once.
+//
+//aarc:hotpath
+func (p *Platform) InvokeSlot(slot int, prof *perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
+	if !cfg.Valid() {
+		return Invocation{}, fmt.Errorf("simfaas: invalid config %v for %s", cfg, prof.Name) //aarc:coldalloc misuse error, never on a valid invocation
+	}
+	oom := cfg.MemMB < prof.MinViableMemMB(scale)
+	var t float64
+	if oom {
+		t = prof.OOMPartialMS(cfg, scale)
+		if t < p.opts.OOMDetectMS {
+			t = p.opts.OOMDetectMS
+		}
+	} else {
+		var err error
+		if t, err = prof.Runtime(cfg, scale, rng); err != nil {
+			return Invocation{}, err
 		}
 	}
+
+	p.mu.Lock()
+	s := &p.slots[slot]
+	cold := !p.opts.KeepAlive || !s.warm || s.cfg != cfg
 	p.metrics.Invocations++
-	fm := p.funcMetricsLocked(key)
-	fm.Invocations++
+	s.fm.Invocations++
 	if cold {
 		p.metrics.ColdStarts++
-		fm.ColdStarts++
+		s.fm.ColdStarts++
 	} else {
 		p.metrics.WarmStarts++
+	}
+	if oom {
+		p.metrics.OOMKills++
+		s.fm.OOMKills++
+		p.unlinkLocked(slot) // the container died
+	} else if p.opts.KeepAlive {
+		p.storeWarmLocked(slot, cfg)
 	}
 	p.mu.Unlock()
 
@@ -196,38 +241,11 @@ func (p *Platform) Invoke(key string, prof perfmodel.Profile, cfg resources.Conf
 	if cold {
 		coldMS = p.ColdStartMS(cfg)
 	}
-
-	t, err := prof.Runtime(cfg, scale, rng)
-	if err != nil {
-		if perfmodel.IsOOM(err) {
-			p.mu.Lock()
-			p.metrics.OOMKills++
-			p.funcMetricsLocked(key).OOMKills++
-			p.dropWarmLocked(key) // the container died
-			p.mu.Unlock()
-			partial := prof.OOMPartialMS(cfg, scale)
-			if partial < p.opts.OOMDetectMS {
-				partial = p.opts.OOMDetectMS
-			}
-			return Invocation{
-				RuntimeMS:   coldMS + partial,
-				ColdStartMS: coldMS,
-				Cold:        cold,
-				OOM:         true,
-			}, nil
-		}
-		return Invocation{}, err
-	}
-
-	if p.opts.KeepAlive {
-		p.mu.Lock()
-		p.storeWarmLocked(key, cfg)
-		p.mu.Unlock()
-	}
 	return Invocation{
 		RuntimeMS:   coldMS + t,
 		ColdStartMS: coldMS,
 		Cold:        cold,
+		OOM:         oom,
 	}, nil
 }
 
@@ -242,15 +260,15 @@ func (p *Platform) Metrics() Metrics {
 func (p *Platform) WarmCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.warm)
+	return p.nwarm
 }
 
 // FunctionMetricsFor returns a snapshot of one container key's counters.
 func (p *Platform) FunctionMetricsFor(key string) FunctionMetrics {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fm, ok := p.perFunc[key]; ok {
-		return *fm
+	if i, ok := p.index[key]; ok {
+		return p.slots[i].fm
 	}
 	return FunctionMetrics{}
 }
@@ -259,6 +277,7 @@ func (p *Platform) FunctionMetricsFor(key string) FunctionMetrics {
 func (p *Platform) Flush() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.warm = make(map[string]*list.Element)
-	p.lru = list.New()
+	for p.head != noSlot {
+		p.unlinkLocked(p.head)
+	}
 }

@@ -297,5 +297,19 @@ func SameResult(a, b search.Result) error {
 			return fmt.Errorf("node %q timings differ: %+v vs %+v", id, na, nb)
 		}
 	}
+	// Group totals: a patched plan keeps dead groups and appends new ones,
+	// so compare by name, through the accessors.
+	groups := make(map[string]bool)
+	for _, na := range a.Nodes {
+		groups[na.Group] = true
+	}
+	for g := range groups {
+		if ca, cb := a.GroupCost(g), b.GroupCost(g); !relClose(ca, cb) {
+			return fmt.Errorf("group %q cost %v vs %v", g, ca, cb)
+		}
+		if sa, sb := a.GroupSteadyCost(g), b.GroupSteadyCost(g); !relClose(sa, sb) {
+			return fmt.Errorf("group %q steady cost %v vs %v", g, sa, sb)
+		}
+	}
 	return nil
 }

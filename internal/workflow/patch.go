@@ -5,6 +5,7 @@ import (
 
 	"aarc/internal/dag"
 	"aarc/internal/perfmodel"
+	"aarc/internal/simfaas"
 )
 
 // This file implements incremental plan maintenance: Runner.Patch applies a
@@ -63,23 +64,25 @@ func (p *plan) rowRemoveNode(id string) error {
 	p.groups[pos] = ""
 	p.groupIdx[pos] = -1
 	p.profiles[pos] = perfmodel.Profile{}
+	p.slots[pos] = -1
 	p.succs[pos] = nil
 	p.indeg0[pos] = -1
 	p.ord.NodeRemoved(id)
 	return nil
 }
 
-// rowAddNode fills a row for a newly added node, reusing a tombstoned slot
+// rowAddNode fills a row for a newly added node, reusing a tombstoned row
 // when one is free and growing the arrays otherwise. New groups are
 // appended to the dense group tables; a group whose last member was removed
-// earlier is revived in place.
-func (p *plan) rowAddNode(spec *Spec, id string) {
+// earlier is revived in place. Only the new row's container slot is bound.
+func (p *plan) rowAddNode(spec *Spec, platform *simfaas.Platform, id string) {
 	pos := p.ord.NodeAdded(id)
 	if pos == len(p.ids) {
 		p.ids = append(p.ids, "")
 		p.groups = append(p.groups, "")
 		p.groupIdx = append(p.groupIdx, -1)
 		p.profiles = append(p.profiles, perfmodel.Profile{})
+		p.slots = append(p.slots, -1)
 		p.succs = append(p.succs, nil)
 		p.indeg0 = append(p.indeg0, -1)
 	}
@@ -100,6 +103,7 @@ func (p *plan) rowAddNode(spec *Spec, id string) {
 	p.groups[pos] = g
 	p.groupIdx[pos] = gi
 	p.profiles[pos] = spec.Profiles[id]
+	p.slots[pos] = platform.Slot(id)
 	p.succs[pos] = nil
 	p.indeg0[pos] = 0
 }
@@ -141,6 +145,7 @@ func (p *plan) applyMoves(g *dag.Graph, moves []dag.Move) {
 		group string
 		gi    int32
 		prof  perfmodel.Profile
+		slot  int
 		succ  []int32
 		indeg int32
 	}
@@ -150,7 +155,7 @@ func (p *plan) applyMoves(g *dag.Graph, moves []dag.Move) {
 		moveMap[int32(m.From)] = int32(m.To)
 		snaps[i] = row{
 			id: p.ids[m.From], group: p.groups[m.From], gi: p.groupIdx[m.From],
-			prof: p.profiles[m.From], succ: p.succs[m.From], indeg: p.indeg0[m.From],
+			prof: p.profiles[m.From], slot: p.slots[m.From], succ: p.succs[m.From], indeg: p.indeg0[m.From],
 		}
 	}
 	for i, m := range moves {
@@ -159,6 +164,7 @@ func (p *plan) applyMoves(g *dag.Graph, moves []dag.Move) {
 		p.groups[m.To] = s.group
 		p.groupIdx[m.To] = s.gi
 		p.profiles[m.To] = s.prof
+		p.slots[m.To] = s.slot
 		p.succs[m.To] = s.succ
 		p.indeg0[m.To] = s.indeg
 	}
@@ -185,10 +191,11 @@ func (p *plan) applyMoves(g *dag.Graph, moves []dag.Move) {
 	}
 }
 
-// patch splices a normalized delta into the plan. The spec must already
-// reflect the delta (Spec.Apply ran). On error the plan may be inconsistent
-// and the caller must recompile.
-func (p *plan) patch(spec *Spec, d Delta) error {
+// patch splices a normalized delta into the plan, binding the added nodes'
+// slots on platform. The spec must already reflect the delta (Spec.Apply
+// ran). On error the plan may be inconsistent and the caller must
+// recompile.
+func (p *plan) patch(spec *Spec, platform *simfaas.Platform, d Delta) error {
 	for _, e := range d.RemoveEdges {
 		if err := p.rowRemoveEdge(e.From, e.To); err != nil {
 			return err
@@ -200,7 +207,7 @@ func (p *plan) patch(spec *Spec, d Delta) error {
 		}
 	}
 	for _, n := range d.AddNodes {
-		p.rowAddNode(spec, n.ID)
+		p.rowAddNode(spec, platform, n.ID)
 	}
 	for _, e := range d.AddEdges {
 		if err := p.rowAddEdge(spec.G, e.From, e.To); err != nil {
@@ -283,7 +290,7 @@ func (r *Runner) Patch(d Delta) error {
 		r.recompile(err)
 		return err
 	}
-	if err := r.plan.patch(r.spec, nd); err != nil {
+	if err := r.plan.patch(r.spec, r.platform, nd); err != nil {
 		return r.recompile(err)
 	}
 	return nil
@@ -298,7 +305,7 @@ func (r *Runner) recompile(cause error) error {
 			r.spec.Name, cause, err)
 		return r.broken
 	}
-	p, err := compilePlan(r.spec)
+	p, err := compilePlan(r.spec, r.platform)
 	if err != nil {
 		r.broken = fmt.Errorf("workflow %s: incremental patch failed (%v) and recompile failed: %w",
 			r.spec.Name, cause, err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aarc/internal/perfmodel"
+	"aarc/internal/simfaas"
 )
 
 // bench10kSpec is the shared 10k-node layered-random spec (built once per
@@ -11,9 +12,10 @@ import (
 var bench10kSpec = patchSpec(10_000, 42)
 
 func BenchmarkPlanCompile10k(b *testing.B) {
+	platform := simfaas.New(simfaas.DefaultOptions())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := compilePlan(bench10kSpec); err != nil {
+		if _, err := compilePlan(bench10kSpec, platform); err != nil {
 			b.Fatal(err)
 		}
 	}

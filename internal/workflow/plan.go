@@ -7,6 +7,7 @@ import (
 	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
 	"aarc/internal/search"
+	"aarc/internal/simfaas"
 )
 
 // plan is the compiled, int-indexed execution form of a Spec. NewRunner
@@ -28,6 +29,7 @@ type plan struct {
 	groups   []string            // dense node ID -> group name
 	groupIdx []int32             // dense node ID -> dense group index
 	profiles []perfmodel.Profile // dense node ID -> performance profile
+	slots    []int               // dense node ID -> platform container slot (-1 = hole)
 	succs    [][]int32           // dense node ID -> successor dense IDs
 	indeg0   []int32             // dense node ID -> predecessor count (-1 = hole)
 
@@ -43,8 +45,9 @@ type plan struct {
 	sweepBuf []int32
 }
 
-// compilePlan flattens a validated spec into the dense execution plan.
-func compilePlan(spec *Spec) (*plan, error) {
+// compilePlan flattens a validated spec into the dense execution plan and
+// binds every node's container slot on the platform the plan will run on.
+func compilePlan(spec *Spec, platform *simfaas.Platform) (*plan, error) {
 	topo, err := spec.G.TopoSort()
 	if err != nil {
 		return nil, err
@@ -66,6 +69,7 @@ func compilePlan(spec *Spec) (*plan, error) {
 		groups:     make([]string, n),
 		groupIdx:   make([]int32, n),
 		profiles:   make([]perfmodel.Profile, n),
+		slots:      make([]int, n),
 		succs:      make([][]int32, n),
 		indeg0:     make([]int32, n),
 		groupNames: groupNames,
@@ -82,6 +86,7 @@ func compilePlan(spec *Spec) (*plan, error) {
 		}
 		p.groupLive[gidx[g]]++
 		p.profiles[i] = spec.Profiles[id]
+		p.slots[i] = platform.Slot(id)
 		p.indeg0[i] = int32(len(spec.G.Pred(id)))
 		succ := spec.G.Succ(id)
 		if len(succ) > 0 {

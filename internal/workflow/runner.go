@@ -44,6 +44,9 @@ type Runner struct {
 	scale    float64
 	rng      *rand.Rand
 	scratch  scratch
+	// totals is the unused tail of the slab evaluate carves each Result's
+	// group totals from (see carveTotals).
+	totals []float64
 	// broken is set when an incremental Patch corrupted the plan and the
 	// fallback recompile also failed; every later call reports it.
 	broken error
@@ -74,7 +77,7 @@ func NewRunner(spec *Spec, opts RunnerOptions) (*Runner, error) {
 		r.price = pricing.Paper()
 	}
 	r.rng = rand.New(rand.NewPCG(opts.Seed, 0x9e3779b97f4a7c15))
-	p, err := compilePlan(spec)
+	p, err := compilePlan(spec, r.platform)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +193,7 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		if !failed {
 			for _, ni := range s.ready {
 				cfg := s.cfgs[p.groupIdx[ni]]
-				inv, err := r.platform.Invoke(p.ids[ni], p.profiles[ni], cfg, scale, rng)
+				inv, err := r.platform.InvokeSlot(p.slots[ni], &p.profiles[ni], cfg, scale, rng)
 				if err != nil {
 					return res, err
 				}
@@ -259,16 +262,40 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 
 	// Hand back string-keyed results; never-started nodes report as skipped
 	// and tombstoned rows of a patched plan are not part of the workflow.
+	// Group totals are summed in plan order, so the same execution always
+	// gives the same bits.
+	cost, steady := r.carveTotals(len(p.groupNames))
 	res.Nodes = make(map[string]search.NodeResult, len(p.ids))
 	for i := range p.ids {
 		if p.ids[i] == "" {
 			continue
 		}
-		if s.state[i] == stFinished {
-			res.Nodes[p.ids[i]] = s.nodeRes[i]
-		} else {
+		if s.state[i] != stFinished {
 			res.Nodes[p.ids[i]] = search.NodeResult{Group: p.groups[i], Skipped: true}
+			continue
 		}
+		nr := &s.nodeRes[i]
+		res.Nodes[p.ids[i]] = *nr
+		gi := p.groupIdx[i]
+		cost[gi] += nr.Cost
+		steady[gi] += nr.SteadyCost()
 	}
+	res.Groups = search.GroupTotals{Names: p.groupNames, Cost: cost, Steady: steady}
 	return res, nil
+}
+
+// totalsSlabEvals is how many evaluations' group totals one slab holds.
+const totalsSlabEvals = 64
+
+// carveTotals returns two zeroed per-group total slices of length g, cut
+// from the runner's slab so that an evaluation does not allocate for them.
+// Each Result keeps its own slices; a spent slab stays alive only as long
+// as Results that point into it.
+func (r *Runner) carveTotals(g int) (cost, steady []float64) {
+	if len(r.totals) < 2*g {
+		r.totals = make([]float64, 2*g*totalsSlabEvals)
+	}
+	cost, steady = r.totals[:g:g], r.totals[g:2*g:2*g]
+	r.totals = r.totals[2*g:]
+	return cost, steady
 }
