@@ -11,8 +11,6 @@
 //   - a generic worklist dataflow engine over caller-supplied join
 //     semilattices, with per-edge refinement (branch conditions) and a
 //     widening hook so infinite-ascending-chain lattices terminate;
-//   - def-use chains: reaching definitions computed on the engine,
-//     folded into per-use chains;
 //   - a per-package call graph whose per-function summaries — combined
 //     with the unitchecker's cross-package fact files — let analyzers
 //     propagate facts across functions and packages.

@@ -189,7 +189,7 @@ after()`))
 }
 
 // typecheck parses and type-checks one file, returning what
-// BuildChains and BuildCallGraph need.
+// BuildCallGraph needs.
 func typecheck(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Package, *types.Info) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -208,83 +208,6 @@ func typecheck(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Pack
 		t.Fatalf("typecheck: %v", err)
 	}
 	return fset, f, pkg, info
-}
-
-func TestDefUseChains(t *testing.T) {
-	_, f, _, info := typecheck(t, `package p
-
-func f(a int) int {
-	x := 1
-	if a > 0 {
-		x = 2
-	}
-	return x
-}
-`)
-	fd := f.Decls[0].(*ast.FuncDecl)
-	sig := info.Defs[fd.Name].Type().(*types.Signature)
-	g := New(fd.Body)
-	chains := BuildChains(g, sig, info)
-
-	// Find the `return x` use.
-	var retUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			retUse = ret.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs := chains[retUse]
-	if len(defs) != 2 {
-		t.Fatalf("return x: %d reaching defs, want 2 (x := 1 and x = 2); chains=%v", len(defs), defs)
-	}
-	// Inside the if, `x = 2` kills `x := 1`; after the join both reach.
-	for _, d := range defs {
-		if d.Var.Name() != "x" {
-			t.Errorf("reaching def of wrong var %s", d.Var.Name())
-		}
-	}
-
-	// The `a > 0` condition's use of a reaches the parameter def.
-	var aUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "a" {
-			aUse = id
-		}
-		return true
-	})
-	adefs := chains[aUse]
-	if len(adefs) != 1 || adefs[0].Stmt != nil {
-		t.Fatalf("use of a: defs=%v, want exactly the parameter def", adefs)
-	}
-}
-
-func TestDefUseKill(t *testing.T) {
-	_, f, _, info := typecheck(t, `package p
-
-func f() int {
-	x := 1
-	x = 2
-	return x
-}
-`)
-	fd := f.Decls[0].(*ast.FuncDecl)
-	g := New(fd.Body)
-	chains := BuildChains(g, info.Defs[fd.Name].Type().(*types.Signature), info)
-	var retUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			retUse = ret.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs := chains[retUse]
-	if len(defs) != 1 {
-		t.Fatalf("straight-line redefinition: %d reaching defs, want 1", len(defs))
-	}
-	if defs[0].Rhs == nil {
-		t.Fatal("surviving def lost its Rhs")
-	}
 }
 
 func TestCallGraph(t *testing.T) {

@@ -321,7 +321,7 @@ func TestHTTPEvaluateErrorReportsCompletedRuns(t *testing.T) {
 	if err := json.Unmarshal(cb, &rec); err != nil {
 		t.Fatal(err)
 	}
-	// An assignment missing the "out" group fails inside the runner.
+	// An assignment missing the "out" group is rejected before any run.
 	resp, b := postJSON(t, ts.URL+"/v1/evaluate", fmt.Sprintf(
 		`{"fingerprint": %q, "runs": 3, "assignment": {"in": {"cpu": 1, "mem_mb": 512}}}`, rec.Fingerprint))
 	if resp.StatusCode == http.StatusOK {
@@ -339,6 +339,33 @@ func TestHTTPEvaluateErrorReportsCompletedRuns(t *testing.T) {
 	}
 	if e.CompletedRuns != nil && *e.CompletedRuns != 0 {
 		t.Errorf("completed_runs = %d, want 0 (the first run fails)", *e.CompletedRuns)
+	}
+}
+
+func TestHTTPEvaluateBadAssignmentIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, cb := postJSON(t, ts.URL+"/v1/configure", `{"workload": "chatbot"}`)
+	var rec Recommendation
+	if err := json.Unmarshal(cb, &rec); err != nil {
+		t.Fatal(err)
+	}
+	invalid := make(map[string]ConfigValue, len(rec.Assignment))
+	for g := range rec.Assignment {
+		invalid[g] = ConfigValue{CPU: -1, MemMB: 1024}
+	}
+	invalidJSON, err := json.Marshal(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, assignment := range map[string]string{
+		"missing group":  `{"bogus": {"cpu": 1, "mem_mb": 1024}}`,
+		"invalid config": string(invalidJSON),
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/evaluate",
+			fmt.Sprintf(`{"fingerprint": %q, "assignment": %s}`, rec.Fingerprint, assignment))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, b)
+		}
 	}
 }
 

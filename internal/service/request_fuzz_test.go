@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -177,14 +179,46 @@ func checkRequest(t *testing.T, body []byte, ss oracleSpecSource, opts RequestOp
 // lookup — malformed JSON, a bad spec, an unknown method or workload, a
 // bad knob — must get a 4xx, never a 500. A 500 stays possible only from
 // a search that ran and failed (the fault-injecting "failing" method, or
-// a spec whose base configuration misses its SLO).
+// a spec whose base configuration misses its SLO). /v1/evaluate runs no
+// search, so it never answers 500: an unknown fingerprint is a 404 and an
+// assignment that does not fit the workflow a 400.
 func FuzzHandler(f *testing.F) {
 	for _, b := range requestCorpus {
 		f.Add([]byte(b))
 	}
 	svc := stubService(f, Config{MaxSamples: 4})
 	h := NewHandler(svc)
+	spec, err := workloads.ByName("chatbot")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec, _, err := svc.Configure(context.Background(), spec, RequestOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	invalid := make(map[string]ConfigValue, len(rec.Assignment))
+	for g := range rec.Assignment {
+		invalid[g] = ConfigValue{CPU: -1, MemMB: 1024}
+	}
+	invalidJSON, err := json.Marshal(invalid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range []string{
+		`{"fingerprint":%q}`,
+		`{"fingerprint":%q,"runs":3}`,
+		`{"fingerprint":%q,"runs":1025}`,
+		`{"fingerprint":%q,"assignment":{"bogus":{"cpu":1,"mem_mb":1024}}}`,
+		`{"fingerprint":%q,"assignment":` + string(invalidJSON) + `}`,
+	} {
+		f.Add([]byte(fmt.Sprintf(b, rec.Fingerprint)))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body)))
+		if rr.Code == http.StatusInternalServerError {
+			t.Fatalf("POST /v1/evaluate %q: 500: %s", body, rr.Body.Bytes())
+		}
 		for _, path := range []string{"/v1/configure", "/v1/configure:batch", "/v1/dispatch"} {
 			before := svc.Stats()
 			rr := httptest.NewRecorder()

@@ -1200,9 +1200,9 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 	}, cacheHit, nil
 }
 
-// invalidRequest marks an error the request itself caused before any
-// cache lookup (an unknown method, a bad dispatch scale): HTTP 400, not
-// 500.
+// invalidRequest marks an error the request itself caused (an unknown
+// method, a bad dispatch scale, an evaluate assignment that does not fit
+// the workflow): HTTP 400, not 500.
 type invalidRequest struct{ err error }
 
 func (e invalidRequest) Error() string { return e.err.Error() }
@@ -1243,6 +1243,11 @@ func (s *Service) Evaluate(fp string, a resources.Assignment, n int) ([]search.R
 	if err != nil {
 		return nil, err
 	}
+	if a != nil {
+		if err := checkAssignment(e.spec, a); err != nil {
+			return nil, err
+		}
+	}
 	pool, err := e.runnerPool(s.cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -1251,6 +1256,22 @@ func (s *Service) Evaluate(fp string, a resources.Assignment, n int) ([]search.R
 		a = e.rec.ResourceAssignment()
 	}
 	return pool.evaluateN(a, n)
+}
+
+// checkAssignment rejects a caller-supplied assignment the runner would
+// refuse — a function group without a config, or a config that is not
+// valid — as the caller's error rather than a failed run.
+func checkAssignment(spec *workflow.Spec, a resources.Assignment) error {
+	for _, g := range spec.FunctionGroups() {
+		cfg, ok := a[g]
+		if !ok {
+			return invalidRequest{fmt.Errorf("service: assignment for workflow %s missing group %q", spec.Name, g)}
+		}
+		if !cfg.Valid() {
+			return invalidRequest{fmt.Errorf("service: invalid config %v for group %q", cfg, g)}
+		}
+	}
+	return nil
 }
 
 // Validate re-executes a fingerprint's recommended assignment n times on

@@ -47,9 +47,6 @@ type Runner struct {
 	// totals is the unused tail of the slab evaluate carves each Result's
 	// group totals from (see carveTotals).
 	totals []float64
-	// broken is set when an incremental Patch corrupted the plan and the
-	// fallback recompile also failed; every later call reports it.
-	broken error
 }
 
 // NewRunner validates the spec and builds a runner.
@@ -154,20 +151,11 @@ func (r *Runner) MeanEvaluate(a resources.Assignment) (search.Result, error) {
 func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand) (search.Result, error) {
 	p := r.plan
 	s := &r.scratch
-	if r.broken != nil {
-		return search.Result{}, r.broken
-	}
 	s.reset(p)
 	var res search.Result
 
-	// Resolve the assignment once per group instead of once per node. Groups
-	// whose every member was patched away keep their dense slot but need no
-	// config; a zero placeholder keeps the index aligned.
+	// Resolve the assignment once per group instead of once per node.
 	for gi, g := range p.groupNames {
-		if p.groupLive[gi] == 0 {
-			s.cfgs = append(s.cfgs, resources.Config{})
-			continue
-		}
 		cfg, ok := a[g]
 		if !ok {
 			return res, fmt.Errorf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi])
@@ -260,16 +248,12 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		}
 	}
 
-	// Hand back string-keyed results; never-started nodes report as skipped
-	// and tombstoned rows of a patched plan are not part of the workflow.
+	// Hand back string-keyed results; never-started nodes report as skipped.
 	// Group totals are summed in plan order, so the same execution always
 	// gives the same bits.
 	cost, steady := r.carveTotals(len(p.groupNames))
 	res.Nodes = make(map[string]search.NodeResult, len(p.ids))
 	for i := range p.ids {
-		if p.ids[i] == "" {
-			continue
-		}
 		if s.state[i] != stFinished {
 			res.Nodes[p.ids[i]] = search.NodeResult{Group: p.groups[i], Skipped: true}
 			continue

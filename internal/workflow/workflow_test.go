@@ -385,3 +385,88 @@ func within(got, want, tol float64) bool {
 	}
 	return d <= tol
 }
+
+func TestSpecCloneIndependent(t *testing.T) {
+	spec := layeredSpec(20, 4)
+	c := spec.Clone()
+	if err := c.Apply(Delta{RemoveNodes: []string{spec.G.Nodes()[10]}}); err != nil {
+		t.Fatal(err)
+	}
+	if spec.G.NumNodes() != 20 || c.G.NumNodes() != 19 {
+		t.Fatalf("clone not independent: %d/%d nodes", spec.G.NumNodes(), c.G.NumNodes())
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// threeNodeSpec builds a -> b -> c with the given group table.
+func threeNodeSpec(groups map[string]string) *Spec {
+	g := dag.New()
+	for _, id := range []string{"a", "b", "c"} {
+		g.MustAddNode(id)
+	}
+	g.MustAddEdge("a", "b")
+	g.MustAddEdge("b", "c")
+	spec := &Spec{
+		Name: "apply", G: g, SLOMS: 1e9, Limits: resources.DefaultLimits(),
+		Profiles: map[string]perfmodel.Profile{
+			"a": flatProfile("a", 500), "b": flatProfile("b", 800), "c": flatProfile("c", 300),
+		},
+		Groups: groups,
+	}
+	spec.Base = resources.Uniform(spec.FunctionGroups(), resources.Config{CPU: 4, MemMB: 8192})
+	return spec
+}
+
+func TestApplyRemoveNode(t *testing.T) {
+	spec := threeNodeSpec(nil)
+	// Removing b drops its incident edges, its profile, and the base entry
+	// of its group (itself), which lost its last member.
+	if err := spec.Apply(Delta{RemoveNodes: []string{"b"}, AddEdges: []Edge{{From: "a", To: "c"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if spec.G.HasNode("b") || spec.G.NumEdges() != 1 {
+		t.Fatalf("b not fully removed: nodes %v, %d edges", spec.G.Nodes(), spec.G.NumEdges())
+	}
+	if _, ok := spec.Profiles["b"]; ok {
+		t.Error("profile of b survived")
+	}
+	if _, ok := spec.Base["b"]; ok {
+		t.Error("orphaned base config for b survived")
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestApplyGroupRetireAndRevive(t *testing.T) {
+	spec := threeNodeSpec(map[string]string{"b": "shared"})
+	if err := spec.Apply(Delta{RemoveNodes: []string{"b"}, AddEdges: []Edge{{From: "a", To: "c"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := spec.Base["shared"]; ok {
+		t.Fatal("base config of the retired group survived")
+	}
+	// A new member without a base config for its group is refused.
+	add := Delta{
+		AddNodes: []NodeAdd{{ID: "b2", Group: "shared", Profile: flatProfile("b2", 700)}},
+		AddEdges: []Edge{{From: "a", To: "b2"}, {From: "b2", To: "c"}},
+	}
+	if err := spec.Clone().Apply(add); err == nil {
+		t.Fatal("revived group without a base config was accepted")
+	}
+	add.Base = resources.Assignment{"shared": {CPU: 2, MemMB: 2048}}
+	if err := spec.Apply(add); err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.FunctionGroups(); len(got) != 3 || spec.GroupOf("b2") != "shared" {
+		t.Fatalf("groups after revive = %v", got)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(spec, RunnerOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
