@@ -20,3 +20,17 @@ func Dirty() *int {
 func DirtyTransitive() *int {
 	return Dirty()
 }
+
+// Cache is generic in its value, like the serving LRU under
+// store.Memory.Get: the fact must name its methods so that a call
+// through an instantiation in the importer resolves to them.
+type Cache[V any] struct {
+	items map[string]V
+}
+
+// Get allocates a copy of the value.
+func (c *Cache[V]) Get(key string) *V {
+	v := new(V)
+	*v = c.items[key]
+	return v
+}

@@ -161,3 +161,11 @@ func EmptyReasonWaiver() []int {
 	//aarc:coldalloc
 	return make([]int, 4) // want `needs a reason`
 }
+
+// GenericMethod calls an allocating method of a generic type declared
+// in dep, through its instantiation at string.
+//
+//aarc:hotpath
+func GenericMethod(c *dep.Cache[string]) *string {
+	return c.Get("k") // want `call to dep.\(Cache\).Get which allocates`
+}

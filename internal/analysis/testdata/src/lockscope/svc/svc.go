@@ -18,6 +18,7 @@ func (engine) Search(q string) string { return q }
 
 type S struct {
 	mu  sync.Mutex
+	aux sync.Mutex
 	eng engine
 	st  store.Store
 	bus *event.Bus
@@ -81,4 +82,36 @@ func (s *S) branchStaysHeld(cold bool) {
 
 func (s *S) noLockAtAll(q string) string {
 	return s.eng.Search(q) // ok: nothing held
+}
+
+// localMutex: a function-local mutex is still a held lock here, even
+// though it can never take part in a cross-function order cycle.
+func (s *S) localMutex(q string) string {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return s.eng.Search(q) // want `a search while holding mutex mu`
+}
+
+// lockInIfInit: a lock taken in an if statement's init clause is held
+// in the body and stays held after the statement.
+func (s *S) lockInIfInit(q string, cold bool) string {
+	if s.mu.Lock(); cold {
+		_ = s.st.Put("k", nil) // want `store I/O while holding mutex s\.mu`
+	}
+	defer s.mu.Unlock()
+	return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+}
+
+// literalUnderLock: a function literal built while s.mu is held runs
+// under it; a Lock/Unlock pair inside the literal releases only what
+// it took.
+func (s *S) literalUnderLock(q string) func() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return func() string {
+		s.aux.Lock()
+		s.aux.Unlock()
+		return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+	}
 }
