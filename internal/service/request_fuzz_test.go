@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -182,6 +183,11 @@ func checkRequest(t *testing.T, body []byte, ss oracleSpecSource, opts RequestOp
 // a spec whose base configuration misses its SLO). /v1/evaluate runs no
 // search, so it never answers 500: an unknown fingerprint is a 404 and an
 // assignment that does not fit the workflow a 400.
+//
+// The bytes are also sent as the escaped {fp} segment of GET and DELETE
+// /v1/recommendation/{fp}, next to GET /v1/recommendations: no 500, and
+// unless they are the chatbot fingerprint itself, that entry still
+// answers 200 afterwards.
 func FuzzHandler(f *testing.F) {
 	for _, b := range requestCorpus {
 		f.Add([]byte(b))
@@ -213,6 +219,7 @@ func FuzzHandler(f *testing.F) {
 	} {
 		f.Add([]byte(fmt.Sprintf(b, rec.Fingerprint)))
 	}
+	f.Add([]byte(rec.Fingerprint))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body)))
@@ -241,6 +248,32 @@ func FuzzHandler(f *testing.F) {
 						t.Fatalf("POST %s %q: item 500 before any cache lookup: %s", path, body, item.Error)
 					}
 				}
+			}
+		}
+		// The POSTs above may have pushed the chatbot entry out of the
+		// store, and an earlier DELETE may have removed it: configure it
+		// again (a hit when it is there) before probing the fingerprint
+		// routes.
+		if _, _, err := svc.Configure(context.Background(), spec, RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		seg := url.PathEscape(string(body))
+		for _, probe := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/recommendation/" + seg},
+			{http.MethodDelete, "/v1/recommendation/" + seg},
+			{http.MethodGet, "/v1/recommendations"},
+		} {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(probe.method, probe.path, nil))
+			if rr.Code == http.StatusInternalServerError {
+				t.Fatalf("%s %s: 500: %s", probe.method, probe.path, rr.Body.Bytes())
+			}
+		}
+		if string(body) != rec.Fingerprint {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/recommendation/"+rec.Fingerprint, nil))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("DELETE /v1/recommendation/%s removed the chatbot entry: GET answers %d", seg, rr.Code)
 			}
 		}
 	})

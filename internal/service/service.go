@@ -60,6 +60,7 @@ import (
 	"aarc/internal/experiments"
 	"aarc/internal/inputaware"
 	"aarc/internal/jsonx"
+	"aarc/internal/lru"
 	"aarc/internal/resources"
 	"aarc/internal/search"
 	"aarc/internal/store"
@@ -286,8 +287,8 @@ type Service struct {
 	refreshing map[string]struct{} // fingerprints mid-refresh: their Puts publish "refreshed"
 
 	mu      sync.Mutex
-	pools   *lruCache // fingerprint -> *entry (process-private runner pools)
-	engines *lruCache // dispatch fingerprint -> *engineEntry (not stored)
+	pools   *lru.Cache[*entry]       // fingerprint -> process-private runner pools
+	engines *lru.Cache[*engineEntry] // dispatch fingerprint -> engine (not stored)
 
 	draining atomic.Bool // BeginDrain/Close flipped; /readyz turns 503
 
@@ -296,7 +297,6 @@ type Service struct {
 	hits           atomic.Int64
 	misses         atomic.Int64
 	searches       atomic.Int64
-	evictions      atomic.Int64
 	storeErrs      atomic.Int64
 	batchRuns      atomic.Int64
 	coalesced      atomic.Int64
@@ -377,8 +377,8 @@ func New(cfg Config) (*Service, error) {
 		breaker:    breaker,
 		retrier:    retrier,
 		batch:      experiments.NewPool(cfg.BatchWorkers),
-		pools:      newLRUCache(cfg.CacheSize),
-		engines:    newLRUCache(cfg.CacheSize),
+		pools:      lru.New[*entry](cfg.CacheSize),
+		engines:    lru.New[*engineEntry](cfg.CacheSize),
 		bus:        event.NewBus(cfg.EventRing),
 		refreshing: make(map[string]struct{}),
 	}
@@ -475,7 +475,7 @@ func (s *Service) Methods() []string { return search.Methods() }
 // Stats returns a snapshot of the cache counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	engines := s.engines.len()
+	engines, engineEvictions := s.engines.Len(), s.engines.Evictions()
 	s.mu.Unlock()
 	ss := store.StatsOf(s.st)
 	var retries int64
@@ -490,7 +490,7 @@ func (s *Service) Stats() Stats {
 		Hits:           s.hits.Load(),
 		Misses:         s.misses.Load(),
 		Searches:       s.searches.Load(),
-		Evictions:      s.evictions.Load() + ss.Evictions,
+		Evictions:      engineEvictions + ss.Evictions,
 		StoreErrors:    s.storeErrs.Load(),
 		BatchRuns:      s.batchRuns.Load(),
 		Coalesced:      s.coalesced.Load(),
@@ -799,7 +799,7 @@ func (s *Service) putStore(fp string, e store.Entry) {
 // putPool stashes a fingerprint's runtime entry, bounded by CacheSize.
 func (s *Service) putPool(fp string, e *entry) {
 	s.mu.Lock()
-	s.pools.add(fp, e)
+	s.pools.Add(fp, e)
 	s.mu.Unlock()
 }
 
@@ -907,10 +907,10 @@ func (s *Service) Configure(ctx context.Context, spec *workflow.Spec, ro Request
 	// The leader stashed its decoded entry in the pools cache; hits in
 	// the same process reuse it rather than re-decoding the body.
 	s.mu.Lock()
-	v, ok := s.pools.get(fp)
+	e, ok := s.pools.Get(fp)
 	s.mu.Unlock()
 	if ok {
-		return v.(*entry).rec, hit, nil
+		return e.rec, hit, nil
 	}
 	rec = new(Recommendation)
 	if err := json.Unmarshal(body, rec); err != nil {
@@ -971,7 +971,7 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 		return existed, err
 	}
 	s.mu.Lock()
-	s.pools.remove(fp)
+	s.pools.Remove(fp)
 	s.mu.Unlock()
 	return existed, nil
 }
@@ -1097,10 +1097,10 @@ func (s *Service) runSearcher(ctx context.Context, searcher search.Searcher, run
 // (restart, pool-cache eviction, or an entry another process searched).
 func (s *Service) entryFor(fp string) (*entry, error) {
 	s.mu.Lock()
-	v, ok := s.pools.get(fp)
+	e, ok := s.pools.Get(fp)
 	s.mu.Unlock()
 	if ok {
-		return v.(*entry), nil
+		return e, nil
 	}
 	se, ok := s.getStore(fp)
 	if !ok {
@@ -1118,7 +1118,7 @@ func (s *Service) entryFor(fp string) (*entry, error) {
 	if err := json.Unmarshal(se.Body, rec); err != nil {
 		return nil, fmt.Errorf("service: decoding stored recommendation: %w", err)
 	}
-	e := &entry{rec: rec, spec: spec, ropts: m.runnerOptions(), meta: m}
+	e = &entry{rec: rec, spec: spec, ropts: m.runnerOptions(), meta: m}
 	s.putPool(fp, e)
 	return e, nil
 }
@@ -1150,18 +1150,18 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 	if err != nil {
 		return nil, false, err
 	}
-	var v any
 	s.mu.Lock()
-	v, ok := s.engines.get(fp)
+	ee, ok := s.engines.Get(fp)
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
 		cacheHit = true
 	} else {
 		s.misses.Add(1)
+		var v any
 		v, err, _ = s.flight.do(ctx, fp, func() (any, error) {
 			s.mu.Lock()
-			cached, ok := s.engines.get(fp)
+			cached, ok := s.engines.Get(fp)
 			s.mu.Unlock()
 			if ok {
 				return cached, nil
@@ -1177,17 +1177,15 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 			s.searches.Add(int64(len(sorted)))
 			e := &engineEntry{engine: engine, spec: spec, method: searcher.Name()}
 			s.mu.Lock()
-			if _, evicted := s.engines.add(fp, e); evicted {
-				s.evictions.Add(1)
-			}
+			s.engines.Add(fp, e)
 			s.mu.Unlock()
 			return e, nil
 		})
 		if err != nil {
 			return nil, false, err
 		}
+		ee = v.(*engineEntry)
 	}
-	ee := v.(*engineEntry)
 	cls, a := ee.engine.Dispatch(inputaware.Request{Scale: scale})
 	return &DispatchResult{
 		Fingerprint: fp,

@@ -1,44 +1,29 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"sync"
+
+	"aarc/internal/lru"
 )
 
 // ErrClosed is returned by every operation on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// Memory is the bounded least-recently-used in-memory store — the
-// serving layer's original recommendation cache, extracted behind the
-// Store contract. Get marks an entry most recently used; Put beyond
-// capacity evicts the least recently used entry. Safe for concurrent
-// use.
+// Memory is the bounded least-recently-used in-memory store: an
+// lru.Cache behind the Store contract, guarded by one mutex. Get marks
+// an entry most recently used; Put beyond capacity evicts the least
+// recently used entry. Safe for concurrent use.
 type Memory struct {
-	mu        sync.Mutex
-	capacity  int
-	order     *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions int64
-	closed    bool
-}
-
-type memItem struct {
-	key string
-	e   Entry
+	mu     sync.Mutex
+	lru    *lru.Cache[Entry]
+	closed bool
 }
 
 // NewMemory builds a Memory store holding at most capacity entries
 // (minimum 1).
 func NewMemory(capacity int) *Memory {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Memory{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element, capacity),
-	}
+	return &Memory{lru: lru.New[Entry](capacity)}
 }
 
 // Get implements Store. It sits under the serving fast path, so it is
@@ -52,12 +37,8 @@ func (m *Memory) Get(key string) (Entry, bool, error) {
 	if m.closed {
 		return Entry{}, false, ErrClosed
 	}
-	el, ok := m.items[key]
-	if !ok {
-		return Entry{}, false, nil
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*memItem).e, true, nil
+	e, ok := m.lru.Get(key)
+	return e, ok, nil
 }
 
 // Put implements Store, evicting the least recently used entry when the
@@ -68,19 +49,7 @@ func (m *Memory) Put(key string, e Entry) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if el, ok := m.items[key]; ok {
-		el.Value.(*memItem).e = e
-		m.order.MoveToFront(el)
-		return nil
-	}
-	m.items[key] = m.order.PushFront(&memItem{key: key, e: e})
-	if m.order.Len() <= m.capacity {
-		return nil
-	}
-	oldest := m.order.Back()
-	m.order.Remove(oldest)
-	delete(m.items, oldest.Value.(*memItem).key)
-	m.evictions++
+	m.lru.Add(key, e)
 	return nil
 }
 
@@ -91,29 +60,22 @@ func (m *Memory) Delete(key string) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if el, ok := m.items[key]; ok {
-		m.order.Remove(el)
-		delete(m.items, key)
-	}
+	m.lru.Remove(key)
 	return nil
 }
 
-// Keys implements Store.
+// Keys implements Store, most recently used first.
 func (m *Memory) Keys() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.items))
-	for el := m.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*memItem).key)
-	}
-	return keys
+	return m.lru.Keys()
 }
 
 // Len implements Store.
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.order.Len()
+	return m.lru.Len()
 }
 
 // Close implements Store, dropping every entry.
@@ -121,8 +83,7 @@ func (m *Memory) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.order.Init()
-	m.items = nil
+	m.lru.Clear()
 	return nil
 }
 
@@ -132,7 +93,7 @@ func (m *Memory) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		Kind:      "memory",
-		Tiers:     map[string]int{"memory": m.order.Len()},
-		Evictions: m.evictions,
+		Tiers:     map[string]int{"memory": m.lru.Len()},
+		Evictions: m.lru.Evictions(),
 	}
 }
