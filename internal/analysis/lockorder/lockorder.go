@@ -3,12 +3,13 @@
 // DESIGN.md makes for the serving stack's mutexes (service shards,
 // flightGroup, refresh set, coalescer, event bus, drift monitor).
 //
-// Where lockscope sees one function at a time, lockorder is
-// interprocedural: each package exports, as a unitchecker fact, the
-// set of locks every function may transitively acquire and the
-// acquired-while-held edges observed so far; importing packages splice
-// those summaries into their own graphs, so an edge created by calling
-// into another package (service holds refreshMu → store takes
+// lockscope and lockorder walk function bodies with one lock-set
+// interpreter, Walker. Where lockscope uses it one function at a time,
+// lockorder is interprocedural: each package exports, as a unitchecker
+// fact, the set of locks every function may transitively acquire and
+// the acquired-while-held edges observed so far; importing packages
+// splice those summaries into their own graphs, so an edge created by
+// calling into another package (service holds refreshMu → store takes
 // Memory.mu) materializes without re-analyzing the callee.
 //
 // A lock's identity is its declaration site, not its instance:
@@ -93,6 +94,38 @@ type funcSummary struct {
 	direct   map[string]bool // lock IDs acquired synchronously
 }
 
+// summarize walks one declaration body. Acquires and calls inside a go
+// statement's literal are detached: their edges are real on that
+// goroutine's own stack, but they feed nothing into the declaration's
+// synchronous may-acquire set.
+func summarize(pass *analysis.Pass, fn *types.Func, body *ast.BlockStmt) *funcSummary {
+	sum := &funcSummary{name: flow.FullName(fn), direct: map[string]bool{}}
+	w := &Walker{
+		Info: pass.TypesInfo,
+		Acquire: func(lock Held, pos token.Pos, held []Held, detached bool) {
+			if !detached {
+				sum.direct[lock.ID] = true
+			}
+			sum.acquires = append(sum.acquires, acquire{lock: lock.ID, pos: pos, held: ids(held)})
+		},
+		Call: func(call *ast.CallExpr, held []Held, detached bool) {
+			if fn := analysis.FuncOf(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
+				sum.calls = append(sum.calls, callsite{callee: flow.FullName(fn), pos: call.Pos(), held: ids(held), detached: detached})
+			}
+		},
+	}
+	w.Walk(body)
+	return sum
+}
+
+func ids(held []Held) []string {
+	out := make([]string, len(held))
+	for i, h := range held {
+		out[i] = h.ID
+	}
+	return out
+}
+
 func run(pass *analysis.Pass) error {
 	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
 		return nil
@@ -128,10 +161,9 @@ func run(pass *analysis.Pass) error {
 			if fn == nil {
 				continue
 			}
-			w := &walker{pass: pass, sum: &funcSummary{name: flow.FullName(fn), direct: map[string]bool{}}}
-			w.stmts(fd.Body.List, nil)
-			summaries[w.sum.name] = w.sum
-			order = append(order, w.sum.name)
+			sum := summarize(pass, fn, fd.Body)
+			summaries[sum.name] = sum
+			order = append(order, sum.name)
 		}
 	}
 	sort.Strings(order)
@@ -335,247 +367,6 @@ func run(pass *analysis.Pass) error {
 		pass.ExportFact(out)
 	}
 	return nil
-}
-
-// walker threads the held-lock list through a function body,
-// lockscope-style: branch bodies get copies, go-statement bodies start
-// empty and their acquires/calls are detached (they do not feed the
-// spawning function's synchronous summary — a goroutine's locks are
-// ordered on its own stack).
-type walker struct {
-	pass *analysis.Pass
-	sum  *funcSummary
-}
-
-func (w *walker) stmts(list []ast.Stmt, held []string) []string {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-func copyHeld(held []string) []string {
-	return append([]string(nil), held...)
-}
-
-func without(held []string, lock string) []string {
-	out := held[:0:0]
-	for _, h := range held {
-		if h != lock {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-func (w *walker) stmt(s ast.Stmt, held []string) []string {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if lock, dir := w.lockCall(call); dir != 0 {
-				if dir > 0 {
-					w.record(lock, call.Pos(), held)
-					return append(held, lock)
-				}
-				return without(held, lock)
-			}
-		}
-		w.scan(s.X, held)
-	case *ast.DeferStmt:
-		if lock, dir := w.lockCall(s.Call); dir != 0 {
-			if dir > 0 {
-				w.record(lock, s.Call.Pos(), held)
-				return append(held, lock)
-			}
-			return held // defer unlock: held until return
-		}
-		w.scan(s.Call, held)
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			w.scan(arg, held)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// Fresh goroutine, fresh stack: its internal ordering still
-			// counts (it can deadlock against others), so walk it with
-			// an empty held set into the same summary — but its calls
-			// must not look synchronous, so the body is walked through
-			// a detached summary and only its direct edges survive.
-			w.goBody(lit.Body)
-		}
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		w.stmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			w.stmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, held)
-		}
-		w.stmts(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.scan(s.X, held)
-		w.stmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scan(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.scan(rhs, held)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scan(r, held)
-		}
-	default:
-		w.scanNode(s, held)
-	}
-	return held
-}
-
-// goBody walks a go-statement literal with a detached summary: direct
-// acquires inside it produce edges on its own stack and feed nothing
-// into the enclosing function's synchronous may-acquire set.
-func (w *walker) goBody(body *ast.BlockStmt) {
-	det := &walker{pass: w.pass, sum: &funcSummary{name: w.sum.name + "·go", direct: map[string]bool{}}}
-	det.stmts(body.List, nil)
-	// Direct edges observed inside the goroutine are real edges on its
-	// own stack; its calls carry over detached so they stay out of the
-	// spawner's synchronous may-acquire set, like det.sum.direct.
-	w.sum.acquires = append(w.sum.acquires, det.sum.acquires...)
-	for _, c := range det.sum.calls {
-		c.detached = true
-		w.sum.calls = append(w.sum.calls, c)
-	}
-}
-
-func (w *walker) record(lock string, pos token.Pos, held []string) {
-	w.sum.direct[lock] = true
-	w.sum.acquires = append(w.sum.acquires, acquire{lock: lock, pos: pos, held: copyHeld(held)})
-}
-
-// scan records statically resolved calls in an expression evaluated
-// with locks held, and walks function literals with the same held set
-// (a literal built under a lock is overwhelmingly run under it).
-func (w *walker) scan(e ast.Expr, held []string) {
-	w.scanNode(e, held)
-}
-
-func (w *walker) scanNode(n ast.Node, held []string) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			w.stmts(x.Body.List, copyHeld(held))
-			return false
-		case *ast.CallExpr:
-			if _, dir := w.lockCall(x); dir != 0 {
-				return true // handled structurally where it matters
-			}
-			if fn := analysis.FuncOf(w.pass.TypesInfo, x); fn != nil && fn.Pkg() != nil {
-				w.sum.calls = append(w.sum.calls, callsite{
-					callee: flow.FullName(fn),
-					pos:    x.Pos(),
-					held:   copyHeld(held),
-				})
-			}
-		}
-		return true
-	})
-}
-
-// lockCall classifies Lock/RLock (+1) and Unlock/RUnlock (-1) calls on
-// sync mutexes and resolves the receiver to a declaration-site lock
-// identity; dir 0 for everything else, lock "" when the receiver is a
-// function-local mutex (which cannot cycle across functions).
-func (w *walker) lockCall(call *ast.CallExpr) (lock string, dir int) {
-	fn := analysis.FuncOf(w.pass.TypesInfo, call)
-	if fn == nil || fn.Signature().Recv() == nil {
-		return "", 0
-	}
-	if pkg := fn.Pkg(); pkg == nil || pkg.Path() != "sync" {
-		return "", 0
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		dir = +1
-	case "Unlock", "RUnlock":
-		dir = -1
-	default:
-		return "", 0
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0
-	}
-	return w.lockIdent(sel.X), dir
-}
-
-// lockIdent names the mutex expression by declaration site.
-func (w *walker) lockIdent(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		// A field: name it by the owning named type.
-		if selInfo, ok := w.pass.TypesInfo.Selections[e]; ok {
-			t := selInfo.Recv()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return fmt.Sprintf("%s.(%s).%s", named.Obj().Pkg().Path(), named.Obj().Name(), e.Sel.Name)
-			}
-		}
-		// Qualified package-level var (pkg.mu).
-		if id, ok := e.X.(*ast.Ident); ok {
-			if _, isPkg := w.pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-				if v, ok := w.pass.TypesInfo.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil {
-					return v.Pkg().Path() + "." + v.Name()
-				}
-			}
-		}
-	case *ast.Ident:
-		if v, ok := w.pass.TypesInfo.Uses[e].(*types.Var); ok && v.Pkg() != nil {
-			if v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-		}
-	case *ast.IndexExpr:
-		return w.lockIdent(e.X)
-	}
-	return "" // local or unresolvable: cannot participate in a cycle
 }
 
 // stronglyConnected returns Tarjan's SCCs over the adjacency map, in
