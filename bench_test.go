@@ -75,7 +75,7 @@ func BenchmarkPlatformInvoke(b *testing.B) {
 
 func BenchmarkFig2Heatmaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunFig2All()
+		results, err := experiments.RunFig2AllPool(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkFig8InputAware(b *testing.B) {
 
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAblation(benchSeed); err != nil {
+		if _, err := experiments.RunAblationPool(benchSeed, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

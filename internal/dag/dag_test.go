@@ -264,8 +264,8 @@ func TestFindDetourSubpathsDiamond(t *testing.T) {
 	if sp.Start != "s" || sp.End != "t" || !equalPath(sp.Nodes, []string{"s", "m2", "t"}) {
 		t.Errorf("subpath = %+v", sp)
 	}
-	if got := sp.Interior(); len(got) != 1 || got[0] != "m2" {
-		t.Errorf("Interior = %v", got)
+	if got := sp.interior(); len(got) != 1 || got[0] != "m2" {
+		t.Errorf("interior = %v", got)
 	}
 	if !strings.Contains(sp.String(), "m2") {
 		t.Errorf("String = %q", sp.String())
@@ -341,14 +341,6 @@ func TestFindDetourSubpathsErrors(t *testing.T) {
 	}
 	if _, err := FindDetourSubpaths(g, []string{"s", "s"}, nil); err == nil {
 		t.Error("repeated critical node should error")
-	}
-}
-
-func TestOffPathNodes(t *testing.T) {
-	g := diamond(t)
-	off := OffPathNodes(g, []string{"s", "m1", "t"})
-	if len(off) != 1 || off[0] != "m2" {
-		t.Errorf("OffPathNodes = %v", off)
 	}
 }
 
@@ -461,7 +453,7 @@ func TestQuickSubpathInvariants(t *testing.T) {
 			if !onCP[sp.Start] || !onCP[sp.End] {
 				t.Fatalf("anchors off critical path: %+v", sp)
 			}
-			for _, n := range sp.Interior() {
+			for _, n := range sp.interior() {
 				if onCP[n] {
 					t.Fatalf("interior node %q on critical path: %+v", n, sp)
 				}
@@ -502,8 +494,8 @@ func TestQuickSubpathOrderMatchesPerComparisonWeights(t *testing.T) {
 		}
 		resorted := append([]Subpath(nil), sps...)
 		sort.SliceStable(resorted, func(i, j int) bool {
-			wi := PathWeight(resorted[i].Interior(), w)
-			wj := PathWeight(resorted[j].Interior(), w)
+			wi := PathWeight(resorted[i].interior(), w)
+			wj := PathWeight(resorted[j].interior(), w)
 			if wi != wj {
 				return wi > wj
 			}

@@ -16,13 +16,8 @@ type Subpath struct {
 	Nodes []string
 }
 
-// Interior returns the off-critical nodes of the subpath (everything except
-// the two anchors).
-func (s Subpath) Interior() []string {
-	return append([]string(nil), s.interior()...)
-}
-
-// interior is Interior without the copy.
+// interior returns the off-critical nodes of the subpath (everything
+// except the two anchors), sharing Nodes' storage.
 func (s Subpath) interior() []string {
 	if len(s.Nodes) <= 2 {
 		return nil
@@ -128,20 +123,4 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 		out[i] = ws[i].sp
 	}
 	return out, nil
-}
-
-// OffPathNodes returns the nodes of g that are not on the given path, in
-// insertion order. Useful for asserting full scheduling coverage.
-func OffPathNodes(g *Graph, path []string) []string {
-	on := make(map[string]bool, len(path))
-	for _, id := range path {
-		on[id] = true
-	}
-	var out []string
-	for _, id := range g.Nodes() {
-		if !on[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -50,12 +50,9 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// RunAblation sweeps all variants over all workloads sequentially.
-func RunAblation(seed uint64) (AblationResult, error) { return RunAblationPool(seed, nil) }
-
 // RunAblationPool runs the (workload, variant) cells on the pool's workers.
 // Cells are independent and rows land at fixed indices, so the table is
-// identical to the sequential sweep.
+// identical to the sequential sweep a nil pool runs.
 func RunAblationPool(seed uint64, pool *Pool) (AblationResult, error) {
 	type cell struct {
 		w string

@@ -193,7 +193,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	r, err := RunAblation(4)
+	r, err := RunAblationPool(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,10 @@ func RunFig2(workloadName string) (Fig2Result, error) {
 	return out, nil
 }
 
-// RunFig2All sweeps all three workloads sequentially.
-func RunFig2All() ([]Fig2Result, error) { return RunFig2AllPool(nil) }
-
 // RunFig2AllPool sweeps the three workloads on the pool's workers. Each
 // sweep owns its runner and platform, and results land at their workload's
-// index, so the output is identical to the sequential sweep.
+// index, so the output is identical to the sequential sweep a nil pool
+// runs.
 func RunFig2AllPool(pool *Pool) ([]Fig2Result, error) {
 	ws := Workloads()
 	out := make([]Fig2Result, len(ws))

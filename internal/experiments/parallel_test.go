@@ -111,7 +111,7 @@ func TestSuiteParallelMatchesSequential(t *testing.T) {
 }
 
 func TestFig2ParallelMatchesSequential(t *testing.T) {
-	seq, err := RunFig2All()
+	seq, err := RunFig2AllPool(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFig2ParallelMatchesSequential(t *testing.T) {
 }
 
 func TestAblationParallelMatchesSequential(t *testing.T) {
-	seq, err := RunAblation(12)
+	seq, err := RunAblationPool(12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -110,17 +101,6 @@ func MulVec(a *Matrix, x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
 }
 
 // Dot returns the dot product of two equal-length vectors.
