@@ -15,14 +15,16 @@ type Held struct {
 	// "pkgpath.(Type).field" or "pkgpath.var"; "" for a function-local
 	// or unresolvable mutex, which cannot take part in a cycle.
 	ID string
-	// Expr is the receiver as written ("s.mu"), for messages.
+	// Expr is the receiver as written ("s.mu"), parentheses stripped,
+	// for messages.
 	Expr string
 }
 
 // Walker threads the list of held mutexes through a function body in
 // source order; it is the one lock-set interpreter behind lockorder
 // and lockscope. Lock/RLock (deferred or not) adds a lock, Unlock and
-// RUnlock remove it, and a deferred unlock keeps it held to the end of
+// RUnlock remove every held lock with the same ID (or, under ByExpr,
+// the same Expr), and a deferred unlock keeps it held to the end of
 // the function. Branch bodies get copies: a lock released on one path
 // is conservatively still held on the other. A function literal built
 // under a lock is walked with that lock held (a literal built under a
@@ -38,6 +40,9 @@ type Walker struct {
 	// Call, if set, sees every call other than a lock operation with
 	// the locks held at it.
 	Call func(call *ast.CallExpr, held []Held, detached bool)
+	// ByExpr releases locks by receiver text rather than by ID, so
+	// unlocking one instance of a field leaves another held.
+	ByExpr bool
 
 	detached bool
 }
@@ -56,10 +61,14 @@ func copyHeld(held []Held) []Held {
 	return append([]Held(nil), held...)
 }
 
-func without(held []Held, lock Held) []Held {
+func (w *Walker) without(held []Held, lock Held) []Held {
 	out := held[:0:0]
 	for _, h := range held {
-		if h != lock {
+		same := h.ID == lock.ID
+		if w.ByExpr {
+			same = h.Expr == lock.Expr
+		}
+		if !same {
 			out = append(out, h)
 		}
 	}
@@ -75,7 +84,7 @@ func (w *Walker) stmt(s ast.Stmt, held []Held) []Held {
 					w.acquire(lock, call.Pos(), held)
 					return append(held, lock)
 				}
-				return without(held, lock)
+				return w.without(held, lock)
 			}
 		}
 		w.scan(s.X, held)
@@ -210,7 +219,7 @@ func (w *Walker) lockCall(call *ast.CallExpr) (lock Held, dir int) {
 	if !ok {
 		return Held{}, 0
 	}
-	return Held{ID: w.lockIdent(sel.X), Expr: types.ExprString(sel.X)}, dir
+	return Held{ID: w.lockIdent(sel.X), Expr: types.ExprString(ast.Unparen(sel.X))}, dir
 }
 
 // lockIdent names the mutex expression by declaration site.

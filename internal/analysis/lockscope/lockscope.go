@@ -33,7 +33,8 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	w := &lockorder.Walker{
-		Info: pass.TypesInfo,
+		Info:   pass.TypesInfo,
+		ByExpr: true,
 		Call: func(call *ast.CallExpr, held []lockorder.Held, _ bool) {
 			if len(held) > 0 {
 				checkTarget(pass, call, held)

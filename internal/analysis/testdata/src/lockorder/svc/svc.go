@@ -1,7 +1,8 @@
 // The svc fixture covers the lockorder analyzer's cases: a local
 // two-mutex cycle, a sharded self-cycle, a cross-package cycle closed
-// through dep's exported fact, near-misses that must stay silent, and
-// the waiver marker.
+// through dep's exported fact, near-misses that must stay silent
+// (including unlocks through other text than the lock), and the waiver
+// marker.
 package svc
 
 import (
@@ -140,4 +141,50 @@ func (t *T) goDetached() {
 		t.y.Lock()
 		t.y.Unlock()
 	}()
+}
+
+type R struct {
+	g sync.Mutex
+	h sync.Mutex
+}
+
+// releaseThroughParens and releaseThroughAlias unlock g through other
+// text than they locked it with. An unlock releases by declaration-site
+// identity, so g is free before h is taken in both, and hThenG's h→g
+// edge has no inverse: no cycle.
+func (r *R) releaseThroughParens() {
+	r.g.Lock()
+	(r.g).Unlock()
+	r.h.Lock()
+	r.h.Unlock()
+}
+
+func (r *R) releaseThroughAlias() {
+	rr := r
+	rr.g.Lock()
+	r.g.Unlock()
+	r.h.Lock()
+	r.h.Unlock()
+}
+
+func (r *R) hThenG() {
+	r.h.Lock()
+	defer r.h.Unlock()
+	r.g.Lock()
+	r.g.Unlock()
+}
+
+type slot struct{ mu sync.Mutex }
+
+type ring struct{ slots []slot }
+
+// releaseSlotByIndex locks a slot through a pointer and unlocks it by
+// index; the slot is released, so taking the next one is not a
+// (slot).mu self-edge.
+func (r *ring) releaseSlotByIndex(i, j int) {
+	sl := &r.slots[i]
+	sl.mu.Lock()
+	r.slots[i].mu.Unlock()
+	r.slots[j].mu.Lock()
+	r.slots[j].mu.Unlock()
 }

@@ -115,3 +115,21 @@ func (s *S) literalUnderLock(q string) func() string {
 		return s.eng.Search(q) // want `a search while holding mutex s\.mu`
 	}
 }
+
+// releaseThroughParens: unlocking through a parenthesized receiver
+// releases the lock.
+func (s *S) releaseThroughParens(q string) string {
+	s.mu.Lock()
+	(s.mu).Unlock()
+	return s.eng.Search(q) // ok: lock already released
+}
+
+// otherInstance: unlocking another S's mu leaves this one held, since
+// lockscope releases a lock by its receiver text.
+func (s *S) otherInstance(o *S, q string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o.mu.Lock()
+	o.mu.Unlock()
+	return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+}

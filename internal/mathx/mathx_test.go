@@ -180,7 +180,7 @@ func TestCholSolveRoundTrip(t *testing.T) {
 }
 
 func TestSolveDimensionErrors(t *testing.T) {
-	l := NewMatrix(3, 3)
+	l, _ := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
 	if _, err := SolveLower(l, []float64{1}); err == nil {
 		t.Error("SolveLower dim mismatch should error")
 	}
