@@ -1,5 +1,5 @@
 // Package stats provides the small set of statistics helpers the AARC
-// experiments need: means, sample deviation, percentiles and the
+// experiments need: means, sample deviation, the minimum and the
 // fluctuation-amplitude metric used in §II-B of the paper.
 //
 // Everything operates on []float64 and never mutates its input.
@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that cannot produce a value from an
@@ -63,47 +62,6 @@ func Min(xs []float64) (float64, error) {
 	}
 	return m, nil
 }
-
-// Max returns the maximum of xs. It returns ErrEmpty for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. The input is copied, not mutated.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // FluctuationAmplitude is the §II-B instability metric: the mean absolute
 // difference between consecutive values, divided by the mean of the series.
