@@ -3,72 +3,76 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // CriticalPath returns the maximum-weight source→sink path of the graph
 // under the given node weights (the paper's find_critical_path). Weights are
 // per-node (function runtimes); missing entries count as zero. The second
 // return value is the path's total weight. Ties resolve deterministically in
-// favour of earlier-inserted nodes.
+// favour of earlier-inserted nodes. Of several bad weights (an unknown node
+// or a negative weight), the one with the smallest node ID is reported.
 func CriticalPath(g *Graph, weights map[string]float64) ([]string, float64, error) {
-	topo, err := g.TopoSort()
+	topo, err := g.TopoOrder()
 	if err != nil {
 		return nil, 0, err
 	}
-	for id, w := range weights {
-		if !g.HasNode(id) {
-			return nil, 0, fmt.Errorf("%w: weight for %q", ErrUnknownNode, id)
-		}
-		if w < 0 {
-			return nil, 0, fmt.Errorf("dag: negative weight %v for %q", w, id)
-		}
+	if err := checkWeights(g, weights); err != nil {
+		return nil, 0, err
 	}
 
-	dist := make(map[string]float64, len(topo))
-	prev := make(map[string]string, len(topo))
-	for _, id := range topo {
-		best := 0.0
-		bestPred := ""
-		for _, p := range g.pred[id] {
-			if bestPred == "" || dist[p] > best ||
-				(dist[p] == best && g.index[p] < g.index[bestPred]) {
-				best = dist[p]
-				bestPred = p
+	n := len(g.order)
+	dist := make([]float64, n)
+	prev := make([]int32, n)
+	for _, i := range topo {
+		best, bestPred := 0.0, int32(-1)
+		for _, p := range g.pred[i] {
+			if bestPred < 0 || dist[p] > best || (dist[p] == best && p < bestPred) {
+				best, bestPred = dist[p], p
 			}
 		}
-		dist[id] = best + weights[id]
-		if bestPred != "" {
-			prev[id] = bestPred
-		}
+		dist[i] = best + weights[g.order[i]]
+		prev[i] = bestPred
 	}
 
 	// Pick the best sink.
-	var end string
+	end := int32(-1)
 	bestDist := -1.0
-	for _, id := range g.Sinks() {
-		if dist[id] > bestDist {
-			bestDist = dist[id]
-			end = id
+	for i, s := range g.succ {
+		if len(s) == 0 && dist[i] > bestDist {
+			bestDist, end = dist[i], int32(i)
 		}
 	}
-	if end == "" {
+	if end < 0 {
 		return nil, 0, errors.New("dag: no sink found")
 	}
 
 	var rev []string
-	for id := end; ; {
-		rev = append(rev, id)
-		p, ok := prev[id]
-		if !ok {
-			break
+	for i := end; i >= 0; i = prev[i] {
+		rev = append(rev, g.order[i])
+	}
+	slices.Reverse(rev)
+	return rev, bestDist, nil
+}
+
+// checkWeights rejects a weight for an unknown node or a negative weight,
+// naming the smallest offending node ID so the error does not depend on
+// map order.
+func checkWeights(g *Graph, weights map[string]float64) error {
+	bad, found := "", false
+	for id, w := range weights {
+		if (!g.HasNode(id) || w < 0) && (!found || id < bad) {
+			bad, found = id, true
 		}
-		id = p
 	}
-	path := make([]string, len(rev))
-	for i, id := range rev {
-		path[len(rev)-1-i] = id
+	switch {
+	case !found:
+		return nil
+	case !g.HasNode(bad):
+		return fmt.Errorf("%w: weight for %q", ErrUnknownNode, bad)
+	default:
+		return fmt.Errorf("dag: negative weight %v for %q", weights[bad], bad)
 	}
-	return path, bestDist, nil
 }
 
 // PathWeight sums the node weights along path.

@@ -8,6 +8,8 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -24,11 +26,15 @@ var (
 // Graph is a mutable DAG with string node IDs. Node weights are supplied
 // externally (as measured runtimes) when querying, so the same topology can
 // be re-weighted between profiling rounds without rebuilding.
+//
+// Nodes are numbered by insertion index and the adjacency lists hold
+// those indices, so the algorithms walk flat slices; node IDs are hashed
+// only where a caller names a node by its string.
 type Graph struct {
-	order []string // node insertion order, for deterministic iteration
-	index map[string]int
-	succ  map[string][]string
-	pred  map[string][]string
+	order []string       // insertion index -> node ID
+	index map[string]int // node ID -> insertion index
+	succ  [][]int32      // insertion index -> successors, in insertion order
+	pred  [][]int32      // insertion index -> predecessors, in insertion order
 	edges int
 }
 
@@ -44,8 +50,8 @@ func NewWithCapacity(n int) *Graph {
 	return &Graph{
 		order: make([]string, 0, n),
 		index: make(map[string]int, n),
-		succ:  make(map[string][]string, n),
-		pred:  make(map[string][]string, n),
+		succ:  make([][]int32, 0, n),
+		pred:  make([][]int32, 0, n),
 	}
 }
 
@@ -59,6 +65,8 @@ func (g *Graph) AddNode(id string) error {
 	}
 	g.index[id] = len(g.order)
 	g.order = append(g.order, id)
+	g.succ = append(g.succ, nil)
+	g.pred = append(g.pred, nil)
 	return nil
 }
 
@@ -70,21 +78,34 @@ func (g *Graph) MustAddNode(id string) {
 	}
 }
 
+// endpoints resolves an edge's node IDs to insertion indices.
+func (g *Graph) endpoints(from, to string) (int32, int32, error) {
+	fi, ok := g.index[from]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, from)
+	}
+	ti, ok := g.index[to]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+	}
+	return int32(fi), int32(ti), nil
+}
+
 // AddEdge inserts a directed edge from → to. Both endpoints must exist.
 func (g *Graph) AddEdge(from, to string) error {
-	if _, ok := g.index[from]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
+	fi, ti, err := g.endpoints(from, to)
+	if err != nil {
+		return err
 	}
-	if _, ok := g.index[to]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
+	return g.addEdge(fi, ti)
+}
+
+func (g *Graph) addEdge(from, to int32) error {
 	if from == to {
-		return fmt.Errorf("%w: %q", ErrSelfLoop, from)
+		return fmt.Errorf("%w: %q", ErrSelfLoop, g.order[from])
 	}
-	for _, s := range g.succ[from] {
-		if s == to {
-			return fmt.Errorf("%w: %q -> %q", ErrDuplicateEdge, from, to)
-		}
+	if slices.Contains(g.succ[from], to) {
+		return fmt.Errorf("%w: %q -> %q", ErrDuplicateEdge, g.order[from], g.order[to])
 	}
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
@@ -92,39 +113,34 @@ func (g *Graph) AddEdge(from, to string) error {
 	return nil
 }
 
-// AddEdges inserts edges in order, exactly as repeated AddEdge calls
-// would, stopping at the first error. The adjacency lists of the touched
-// nodes are first carved out of two arrays sized for the whole batch, so
+// AddEdges inserts edges given as insertion-index pairs, in order, exactly
+// as AddEdge on their node IDs would, stopping at the first error. Every
+// index must be below NumNodes. The adjacency lists of the touched nodes
+// are first carved out of one array sized for the whole batch, so
 // building a graph edge by edge does not regrow every list.
-func (g *Graph) AddEdges(edges [][2]string) error {
-	out := make([]int, len(g.order))
-	in := make([]int, len(g.order))
-	total := 0
+func (g *Graph) AddEdges(edges [][2]int32) error {
+	n := len(g.order)
+	deg := make([]int32, 2*n) // out-degree added, then in-degree added
 	for _, e := range edges {
-		fi, okf := g.index[e[0]]
-		ti, okt := g.index[e[1]]
-		if okf && okt {
-			out[fi]++
-			in[ti]++
-			total++
-		}
+		deg[e[0]]++
+		deg[n+int(e[1])]++
 	}
-	succ := make([]string, 0, total+g.edges)
-	pred := make([]string, 0, total+g.edges)
-	for i, id := range g.order {
-		if n := out[i]; n > 0 {
-			s := g.succ[id]
-			g.succ[id] = append(succ[len(succ):len(succ):len(succ)+len(s)+n], s...)
-			succ = succ[:len(succ)+len(s)+n]
+	pool := make([]int32, 0, 2*(len(edges)+g.edges))
+	carve := func(l []int32, add int32) []int32 {
+		at, end := len(pool), len(pool)+len(l)+int(add)
+		pool = pool[:end]
+		return append(pool[at:at:end], l...)
+	}
+	for i := range n {
+		if deg[i] > 0 {
+			g.succ[i] = carve(g.succ[i], deg[i])
 		}
-		if n := in[i]; n > 0 {
-			p := g.pred[id]
-			g.pred[id] = append(pred[len(pred):len(pred):len(pred)+len(p)+n], p...)
-			pred = pred[:len(pred)+len(p)+n]
+		if deg[n+i] > 0 {
+			g.pred[i] = carve(g.pred[i], deg[n+i])
 		}
 	}
 	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+		if err := g.addEdge(e[0], e[1]); err != nil {
 			return err
 		}
 	}
@@ -144,6 +160,13 @@ func (g *Graph) HasNode(id string) bool {
 	return ok
 }
 
+// IndexOf returns the insertion index of the node spelled by id, so a
+// decoder can name a node by bytes without allocating a string.
+func (g *Graph) IndexOf(id []byte) (int32, bool) {
+	i, ok := g.index[string(id)]
+	return int32(i), ok
+}
+
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.order) }
 
@@ -159,176 +182,164 @@ func (g *Graph) Nodes() []string {
 // Iterating by index reads the graph without the copy Nodes makes.
 func (g *Graph) NodeAt(i int) string { return g.order[i] }
 
-// Intern returns the graph's own copy of the node ID spelled by id, so a
-// decoder can name a node by bytes without allocating a string. An
-// unknown id is returned as a new string.
-func (g *Graph) Intern(id []byte) string {
-	if i, ok := g.index[string(id)]; ok {
-		return g.order[i]
+// SuccAt returns the insertion indices of node i's successors, in
+// insertion order. The slice is the graph's own: callers must not modify
+// it, and it is valid until the next edit.
+func (g *Graph) SuccAt(i int) []int32 { return g.succ[i] }
+
+// InDegreeAt returns the number of predecessors of node i.
+func (g *Graph) InDegreeAt(i int) int { return len(g.pred[i]) }
+
+// ids maps insertion indices to node IDs in a slice of exactly their
+// length (nil for none).
+func (g *Graph) ids(is []int32) []string {
+	if len(is) == 0 {
+		return nil
 	}
-	return string(id)
+	out := make([]string, len(is))
+	for k, i := range is {
+		out[k] = g.order[i]
+	}
+	return out
 }
 
-// AppendSucc appends the successors of id, in insertion order, to dst.
-func (g *Graph) AppendSucc(dst []string, id string) []string {
-	return append(dst, g.succ[id]...)
+// adj returns id's list in lists (g.succ or g.pred); nil for an unknown id.
+func (g *Graph) adj(id string, lists [][]int32) []int32 {
+	if i, ok := g.index[id]; ok {
+		return lists[i]
+	}
+	return nil
 }
 
 // Succ returns the successors of id in insertion order (a copy).
-func (g *Graph) Succ(id string) []string {
-	return append([]string(nil), g.succ[id]...)
-}
+func (g *Graph) Succ(id string) []string { return g.ids(g.adj(id, g.succ)) }
 
 // Pred returns the predecessors of id in insertion order (a copy).
-func (g *Graph) Pred(id string) []string {
-	return append([]string(nil), g.pred[id]...)
-}
+func (g *Graph) Pred(id string) []string { return g.ids(g.adj(id, g.pred)) }
+
+// OutDegree returns the number of successors of id (0 for unknown nodes).
+func (g *Graph) OutDegree(id string) int { return len(g.adj(id, g.succ)) }
+
+// InDegree returns the number of predecessors of id (0 for unknown nodes).
+func (g *Graph) InDegree(id string) int { return len(g.adj(id, g.pred)) }
 
 // Sources returns nodes with no predecessors, in insertion order.
-func (g *Graph) Sources() []string {
-	var out []string
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func (g *Graph) Sources() []string { return g.empty(g.pred) }
 
 // Sinks returns nodes with no successors, in insertion order.
-func (g *Graph) Sinks() []string {
+func (g *Graph) Sinks() []string { return g.empty(g.succ) }
+
+// empty returns the nodes whose list in lists is empty, in insertion order.
+func (g *Graph) empty(lists [][]int32) []string {
 	var out []string
-	for _, id := range g.order {
-		if len(g.succ[id]) == 0 {
-			out = append(out, id)
+	for i, l := range lists {
+		if len(l) == 0 {
+			out = append(out, g.order[i])
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the graph. The copy is built directly from
-// the internal representation — pre-sized maps, no duplicate-edge scans — so
-// cloning a 10k-node graph costs one pass over nodes and edges instead of
-// the quadratic-in-degree AddEdge path.
+// Clone returns a deep copy of the graph in one pass over nodes and edges.
 func (g *Graph) Clone() *Graph {
-	out := NewWithCapacity(len(g.order))
-	out.order = append(out.order, g.order...)
-	for id, i := range g.index {
-		out.index[id] = i
+	out := &Graph{order: slices.Clone(g.order), index: maps.Clone(g.index), edges: g.edges}
+	for i := range g.order {
+		out.succ = append(out.succ, slices.Clone(g.succ[i]))
+		out.pred = append(out.pred, slices.Clone(g.pred[i]))
 	}
-	for _, id := range g.order {
-		if s := g.succ[id]; len(s) > 0 {
-			out.succ[id] = append(make([]string, 0, len(s)), s...)
-		}
-		if p := g.pred[id]; len(p) > 0 {
-			out.pred[id] = append(make([]string, 0, len(p)), p...)
-		}
-	}
-	out.edges = g.edges
 	return out
-}
-
-// removeString splices the first occurrence of v out of s, preserving order.
-func removeString(s []string, v string) []string {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // RemoveEdge deletes the directed edge from → to. It returns ErrUnknownNode
 // if either endpoint does not exist and an error if the edge is absent.
 func (g *Graph) RemoveEdge(from, to string) error {
-	if _, ok := g.index[from]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
+	fi, ti, err := g.endpoints(from, to)
+	if err != nil {
+		return err
 	}
-	if _, ok := g.index[to]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	found := false
-	for _, s := range g.succ[from] {
-		if s == to {
-			found = true
-			break
-		}
-	}
-	if !found {
+	k := slices.Index(g.succ[fi], ti)
+	if k < 0 {
 		return fmt.Errorf("dag: no edge %q -> %q", from, to)
 	}
-	g.succ[from] = removeString(g.succ[from], to)
-	g.pred[to] = removeString(g.pred[to], from)
+	g.succ[fi] = slices.Delete(g.succ[fi], k, k+1)
+	k = slices.Index(g.pred[ti], fi)
+	g.pred[ti] = slices.Delete(g.pred[ti], k, k+1)
 	g.edges--
 	return nil
 }
 
 // RemoveNode deletes a node and every edge incident to it. Insertion order
 // (and therefore the deterministic tie-breaking index) of the remaining
-// nodes is preserved; the operation is O(n + deg).
+// nodes is preserved; the later nodes' indices shift down by one, so the
+// operation is O(n + e).
 func (g *Graph) RemoveNode(id string) error {
 	pos, ok := g.index[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	for _, s := range g.succ[id] {
-		g.pred[s] = removeString(g.pred[s], id)
-		g.edges--
-	}
-	for _, p := range g.pred[id] {
-		g.succ[p] = removeString(g.succ[p], id)
-		g.edges--
-	}
-	delete(g.succ, id)
-	delete(g.pred, id)
+	p := int32(pos)
+	g.edges -= len(g.succ[pos]) + len(g.pred[pos])
+	g.order = slices.Delete(g.order, pos, pos+1)
+	g.succ = slices.Delete(g.succ, pos, pos+1)
+	g.pred = slices.Delete(g.pred, pos, pos+1)
 	delete(g.index, id)
-	g.order = append(g.order[:pos], g.order[pos+1:]...)
 	for i := pos; i < len(g.order); i++ {
 		g.index[g.order[i]] = i
+	}
+	renumber := func(l []int32) []int32 {
+		l = slices.DeleteFunc(l, func(x int32) bool { return x == p })
+		for k, x := range l {
+			if x > p {
+				l[k] = x - 1
+			}
+		}
+		return l
+	}
+	for i := range g.order {
+		g.succ[i] = renumber(g.succ[i])
+		g.pred[i] = renumber(g.pred[i])
 	}
 	return nil
 }
 
-// OutDegree returns the number of successors of id (0 for unknown nodes).
-func (g *Graph) OutDegree(id string) int { return len(g.succ[id]) }
-
-// InDegree returns the number of predecessors of id (0 for unknown nodes).
-func (g *Graph) InDegree(id string) int { return len(g.pred[id]) }
-
 // TopoSort returns a topological order of the nodes (Kahn's algorithm with
 // insertion-order tie-breaking, so the result is deterministic). It returns
 // ErrCycle if the graph is cyclic and ErrEmpty if it has no nodes.
-//
-// The traversal runs entirely on insertion indices — one indegree slice and
-// one sorted ready slice of ints — so no per-node map operations or string
-// hashing happen on this path (hot for every Runner construction).
 func (g *Graph) TopoSort() ([]string, error) {
+	topo, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return g.ids(topo), nil
+}
+
+// TopoOrder is TopoSort on insertion indices: the same order, with no
+// node ID touched.
+func (g *Graph) TopoOrder() ([]int32, error) {
 	n := len(g.order)
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	indeg := make([]int, n)
-	for i, id := range g.order {
-		indeg[i] = len(g.pred[id])
-	}
-	// ready is kept sorted by insertion index for determinism.
-	ready := make([]int, 0, n)
-	for i := range g.order {
+	indeg := make([]int32, n)
+	// ready is kept sorted descending, so the lowest insertion index —
+	// the deterministic tie-break — pops off the end.
+	ready := make([]int32, 0, n)
+	for i := n - 1; i >= 0; i-- {
+		indeg[i] = int32(len(g.pred[i]))
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			ready = append(ready, int32(i))
 		}
 	}
-	out := make([]string, 0, n)
+	out := make([]int32, 0, n)
 	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		id := g.order[i]
-		out = append(out, id)
-		for _, s := range g.succ[id] {
-			si := g.index[s]
-			indeg[si]--
-			if indeg[si] == 0 {
-				ready = insertByIndex(ready, si)
+		i := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		out = append(out, i)
+		for _, s := range g.succ[i] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				k := sort.Search(len(ready), func(j int) bool { return ready[j] < s })
+				ready = slices.Insert(ready, k, s)
 			}
 		}
 	}
@@ -338,44 +349,31 @@ func (g *Graph) TopoSort() ([]string, error) {
 	return out, nil
 }
 
-func insertByIndex(ready []int, i int) []int {
-	pos := sort.Search(len(ready), func(j int) bool { return ready[j] > i })
-	ready = append(ready, 0)
-	copy(ready[pos+1:], ready[pos:])
-	ready[pos] = i
-	return ready
-}
-
 // Validate checks that the graph is non-empty, acyclic, and that every node
 // is reachable in the undirected sense from the first source (i.e. the
 // workflow is one connected component). Errors come in that order:
-// ErrEmpty, ErrCycle, no source, no sink, disconnected.
+// ErrEmpty, ErrCycle, disconnected. (A non-empty acyclic graph always
+// has a source and a sink.)
 //
-// It is one pass of Kahn's algorithm on insertion indices, like TopoSort
-// but counting instead of ordering, with a union-find over the edges it
-// walks for the connectivity check: it runs on every spec validation,
-// twice per configure request.
+// It is one pass of Kahn's algorithm, like TopoOrder but counting instead
+// of ordering, with a union-find over the edges it walks for the
+// connectivity check: it runs on every spec validation.
 func (g *Graph) Validate() error {
 	n := len(g.order)
 	if n == 0 {
 		return ErrEmpty
 	}
-	indeg := make([]int, n)
-	ready := make([]int, 0, n)
-	hasSink := false
-	for i, id := range g.order {
-		indeg[i] = len(g.pred[id])
+	indeg := make([]int32, n)
+	ready := make([]int32, 0, n)
+	for i := range n {
+		indeg[i] = int32(len(g.pred[i]))
 		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-		if len(g.succ[id]) == 0 {
-			hasSink = true
+			ready = append(ready, int32(i))
 		}
 	}
-	hasSource := len(ready) > 0
-	parent := make([]int, n)
+	parent := make([]int32, n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
 	components := n
 	visited := 0
@@ -383,25 +381,20 @@ func (g *Graph) Validate() error {
 		i := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		visited++
-		for _, s := range g.succ[g.order[i]] {
-			si := g.index[s]
-			if a, b := find(parent, i), find(parent, si); a != b {
+		for _, s := range g.succ[i] {
+			if a, b := find(parent, i), find(parent, s); a != b {
 				parent[a] = b
 				components--
 			}
-			indeg[si]--
-			if indeg[si] == 0 {
-				ready = append(ready, si)
+			indeg[s]--
+			if indeg[s] == 0 {
+				ready = append(ready, s)
 			}
 		}
 	}
 	switch {
 	case visited != n:
 		return ErrCycle
-	case !hasSource:
-		return errors.New("dag: no source node")
-	case !hasSink:
-		return errors.New("dag: no sink node")
 	case components != 1:
 		return errors.New("dag: graph is disconnected")
 	}
@@ -409,7 +402,7 @@ func (g *Graph) Validate() error {
 }
 
 // find returns the root of i's set, halving the path on the way.
-func find(parent []int, i int) int {
+func find(parent []int32, i int32) int32 {
 	for parent[i] != i {
 		parent[i] = parent[parent[i]]
 		i = parent[i]
@@ -419,21 +412,20 @@ func find(parent []int, i int) int {
 
 // HasPath reports whether a directed path exists from src to dst.
 func (g *Graph) HasPath(src, dst string) bool {
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	si, di, err := g.endpoints(src, dst)
+	if err != nil {
 		return false
 	}
-	if src == dst {
-		return true
-	}
-	seen := map[string]bool{src: true}
-	stack := []string{src}
+	seen := make([]bool, len(g.order))
+	seen[si] = true
+	stack := []int32{si}
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
+		if i == di {
+			return true
+		}
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[id] {
-			if s == dst {
-				return true
-			}
+		for _, s := range g.succ[i] {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)

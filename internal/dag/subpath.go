@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -47,24 +48,31 @@ func (s Subpath) String() string {
 // nodes each appear; Algorithm 1's scheduled flags make the overlap safe
 // (a function is only ever configured once).
 func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64) ([]Subpath, error) {
-	onCP := make(map[string]bool, len(critical))
-	cpIndex := make(map[string]int, len(critical))
+	cpIndex := make([]int32, len(g.order)) // critical-path position, -1 if off it
+	for i := range cpIndex {
+		cpIndex[i] = -1
+	}
 	for i, id := range critical {
-		if !g.HasNode(id) {
+		v, ok := g.index[id]
+		if !ok {
 			return nil, fmt.Errorf("%w: critical node %q", ErrUnknownNode, id)
 		}
-		if onCP[id] {
+		if cpIndex[v] >= 0 {
 			return nil, fmt.Errorf("dag: critical path repeats node %q", id)
 		}
-		onCP[id] = true
-		cpIndex[id] = i
+		cpIndex[v] = int32(i)
 	}
 
-	var out []Subpath
-	var walk func(anchor string, node string, trail []string)
-	walk = func(anchor, node string, trail []string) {
+	type found struct {
+		sp         Subpath
+		w          float64 // interior weight, computed once, not per comparison
+		start, end int32   // the anchors' critical-path positions
+	}
+	var out []found
+	var walk func(anchor, node int32, trail []int32)
+	walk = func(anchor, node int32, trail []int32) {
 		for _, next := range g.succ[node] {
-			if onCP[next] {
+			if c := cpIndex[next]; c >= 0 {
 				// Rejoined the critical path: emit anchor..trail..next.
 				// Only forward rejoins are valid in a DAG workflow; a rejoin
 				// at or before the anchor would contradict acyclicity given
@@ -73,54 +81,46 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 				// critical path itself, not a detour; direct edges that skip
 				// ahead ("bypass" edges) are real detours with an empty
 				// interior.
-				directCPEdge := len(trail) == 0 && cpIndex[next] == cpIndex[anchor]+1
-				if cpIndex[next] > cpIndex[anchor] && !directCPEdge {
+				directCPEdge := len(trail) == 0 && c == cpIndex[anchor]+1
+				if c > cpIndex[anchor] && !directCPEdge {
 					nodes := make([]string, 0, len(trail)+2)
-					nodes = append(nodes, anchor)
-					nodes = append(nodes, trail...)
-					nodes = append(nodes, next)
-					out = append(out, Subpath{Start: anchor, End: next, Nodes: nodes})
+					nodes = append(nodes, g.order[anchor])
+					for _, t := range trail {
+						nodes = append(nodes, g.order[t])
+					}
+					nodes = append(nodes, g.order[next])
+					sp := Subpath{Start: nodes[0], End: nodes[len(nodes)-1], Nodes: nodes}
+					out = append(out, found{sp, PathWeight(sp.interior(), weights), cpIndex[anchor], c})
 				}
 				continue
 			}
 			// Stay off-critical; simple-path check against the trail.
-			seen := false
-			for _, t := range trail {
-				if t == next {
-					seen = true
-					break
-				}
-			}
-			if seen {
+			if slices.Contains(trail, next) {
 				continue
 			}
 			walk(anchor, next, append(trail, next))
 		}
 	}
-	for _, anchor := range critical {
-		walk(anchor, anchor, nil)
+	for _, id := range critical {
+		a := int32(g.index[id])
+		walk(a, a, nil)
 	}
 
-	// Each subpath's interior weight is computed once, not per comparison.
-	type weighted struct {
-		sp Subpath
-		w  float64
-	}
-	ws := make([]weighted, len(out))
-	for i, sp := range out {
-		ws[i] = weighted{sp, PathWeight(sp.interior(), weights)}
-	}
-	sort.SliceStable(ws, func(i, j int) bool {
-		if ws[i].w != ws[j].w {
-			return ws[i].w > ws[j].w
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].w != out[j].w {
+			return out[i].w > out[j].w
 		}
-		if cpIndex[ws[i].sp.Start] != cpIndex[ws[j].sp.Start] {
-			return cpIndex[ws[i].sp.Start] < cpIndex[ws[j].sp.Start]
+		if out[i].start != out[j].start {
+			return out[i].start < out[j].start
 		}
-		return cpIndex[ws[i].sp.End] < cpIndex[ws[j].sp.End]
+		return out[i].end < out[j].end
 	})
-	for i := range ws {
-		out[i] = ws[i].sp
+	if len(out) == 0 {
+		return nil, nil
 	}
-	return out, nil
+	sps := make([]Subpath, len(out))
+	for i := range out {
+		sps[i] = out[i].sp
+	}
+	return sps, nil
 }

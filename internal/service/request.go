@@ -28,7 +28,7 @@ type configureRequest struct {
 	workload string
 	hasSpec  bool
 	spec     *workflow.Spec
-	specErr  error // the inline spec failed to decode or validate
+	specErr  error // the inline spec failed to decode (it is validated with its fingerprint)
 	opts     RequestOptions
 
 	scale   float64

@@ -165,7 +165,12 @@ func checkRequest(t *testing.T, body []byte, ss oracleSpecSource, opts RequestOp
 	if !reflect.DeepEqual(cr.opts, opts) {
 		t.Fatalf("body %q: options %+v, want %+v", body, cr.opts, opts)
 	}
+	// The decoder leaves validation to the fingerprint's CanonicalJSON;
+	// the oracle validates at decode.
 	got, gerr := cr.source()
+	if gerr == nil {
+		gerr = got.Validate()
+	}
 	want, werr := ss.spec()
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("body %q: spec err %v, encoding/json path err %v", body, gerr, werr)

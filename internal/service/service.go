@@ -722,9 +722,11 @@ func capBudgetF(req, cap float64) float64 {
 //
 //aarc:canonical
 func (s *Service) fingerprint(spec *workflow.Spec, r resolved, classes []inputaware.Class) (fp string, canon []byte, err error) {
+	// CanonicalJSON is where an inline spec is validated: the request
+	// decoder builds it without a check of its own.
 	canon, err = workflow.CanonicalJSON(spec)
 	if err != nil {
-		return "", nil, err
+		return "", nil, invalidRequest{err}
 	}
 	h := sha256.New()
 	var arr [256]byte

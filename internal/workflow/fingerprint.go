@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 
 	"aarc/internal/dag"
 	"aarc/internal/jsonx"
@@ -44,19 +45,28 @@ func CanonicalJSON(spec *Spec) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ids := make([]string, spec.G.NumNodes())
-	for i := range ids {
-		ids[i] = spec.G.NodeAt(i)
+	g := spec.G
+	n := g.NumNodes()
+	// byID is the insertion indices in node ID order; rank inverts it;
+	// succ holds one node's successor ranks at a time.
+	scratch := make([]int32, 2*n+g.NumEdges())
+	byID, rank, succ := scratch[:n], scratch[n:2*n], scratch[2*n:2*n]
+	for i := range byID {
+		byID[i] = int32(i)
 	}
-	slices.Sort(ids)
+	slices.SortFunc(byID, func(a, b int32) int { return strings.Compare(g.NodeAt(int(a)), g.NodeAt(int(b))) })
+	for r, i := range byID {
+		rank[i] = int32(r)
+	}
 
-	w := canonWriter{b: make([]byte, 0, 256+256*len(ids)+32*spec.G.NumEdges())}
+	w := canonWriter{b: make([]byte, 0, 256+256*n+32*g.NumEdges())}
 	w.raw(`{"name":`)
 	w.str(spec.Name)
 	w.raw(`,"slo_ms":`)
 	w.float(spec.SLOMS)
 	w.raw(`,"nodes":[`)
-	for i, id := range ids {
+	for i, v := range byID {
+		id := g.NodeAt(int(v))
 		if i > 0 {
 			w.raw(",")
 		}
@@ -85,26 +95,28 @@ func CanonicalJSON(spec *Spec) ([]byte, error) {
 		w.raw("}}")
 	}
 	w.raw(`],"edges":`)
-	if spec.G.NumEdges() == 0 {
+	if g.NumEdges() == 0 {
 		w.raw("null")
 	} else {
-		// ids is sorted, so sorting each node's successors sorts the
-		// whole edge list lexicographically.
+		// Nodes go in ID order, so sorting each node's successors by
+		// rank sorts the whole edge list lexicographically.
 		w.raw("[")
 		first := true
-		var succ []string
-		for _, from := range ids {
-			succ = spec.G.AppendSucc(succ[:0], from)
+		for _, v := range byID {
+			succ = succ[:0]
+			for _, s := range g.SuccAt(int(v)) {
+				succ = append(succ, rank[s])
+			}
 			slices.Sort(succ)
-			for _, to := range succ {
+			for _, r := range succ {
 				if !first {
 					w.raw(",")
 				}
 				first = false
 				w.raw("[")
-				w.str(from)
+				w.str(g.NodeAt(int(v)))
 				w.raw(",")
-				w.str(to)
+				w.str(g.NodeAt(int(byID[r])))
 				w.raw("]")
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"aarc/internal/dag"
 	"aarc/internal/jsonx"
@@ -93,17 +94,30 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("workflow: reading spec: %w", err)
 	}
-	return ScanSpec(jsonx.NewScanner(buf.Bytes()))
+	spec, err := ScanSpec(jsonx.NewScanner(buf.Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // ScanSpec decodes the spec value at the scanner's position, in the
-// DecodeSpec format, builds it and validates it. A type error inside the
-// value is returned here and not left on the scanner, so a request
-// decoder that embeds a spec can keep scanning past a bad one; a syntax
-// error stops the scanner and is returned too.
+// DecodeSpec format, and builds it without validating it: CanonicalJSON,
+// and so every fingerprint, validates the spec, and a caller that uses
+// the spec before or without one calls Spec.Validate itself. A type error
+// inside the value is returned here and not left on the scanner, so a
+// request decoder that embeds a spec can keep scanning past a bad one; a
+// syntax error stops the scanner and is returned too.
 func ScanSpec(s *jsonx.Scanner) (*Spec, error) {
+	d := docPool.Get().(*specDoc)
+	defer func() {
+		d.reset()
+		docPool.Put(d)
+	}()
 	outer := s.SwapTypeErr(nil)
-	var d specDoc
 	d.scan(s)
 	err := s.SwapTypeErr(outer)
 	if serr := s.SyntaxErr(); serr != nil {
@@ -115,9 +129,24 @@ func ScanSpec(s *jsonx.Scanner) (*Spec, error) {
 	return d.build()
 }
 
+// docPool keeps decoded documents, so a request's node and edge slices
+// reuse the arrays an earlier request grew.
+var docPool = sync.Pool{New: func() any { return new(specDoc) }}
+
+// reset zeroes the doc for its next decode. The node and edge arrays are
+// cleared to their capacity, not their length: jsonx.Grow reuses elements
+// past the length, so a stale one would bleed into the next decode, and
+// the byte slices alias the request body they came from.
+func (d *specDoc) reset() {
+	nodes, edges := d.nodes[:cap(d.nodes)], d.edges[:cap(d.edges)]
+	clear(nodes)
+	clear(edges)
+	*d = specDoc{nodes: nodes[:0], edges: edges[:0], pairs: d.pairs[:0]}
+}
+
 // specDoc is a spec as decoded, before it is built into a Spec: the
 // specJSON vocabulary with strings left as bytes of the input, so edge
-// endpoints can be resolved to the nodes' own ID strings.
+// endpoints are resolved to node indices without a string each.
 type specDoc struct {
 	name   []byte
 	sloMS  float64
@@ -125,6 +154,7 @@ type specDoc struct {
 	edges  [][2][]byte
 	base   configJSON
 	limits *limitsJSON
+	pairs  [][2]int32 // build's scratch: edges as node insertion indices
 }
 
 type nodeDoc struct {
@@ -367,8 +397,7 @@ func scanLimits(s *jsonx.Scanner, l *limitsJSON) {
 	}
 }
 
-// build turns the decoded document into a validated Spec. Edge endpoints
-// are the graph's own node ID strings.
+// build turns the decoded document into a Spec, unvalidated.
 func (d *specDoc) build() (*Spec, error) {
 	g := dag.NewWithCapacity(len(d.nodes))
 	profiles := make(map[string]perfmodel.Profile, len(d.nodes))
@@ -403,11 +432,27 @@ func (d *specDoc) build() (*Spec, error) {
 			groups[id] = grp
 		}
 	}
-	edges := make([][2]string, len(d.edges))
-	for i, e := range d.edges {
-		edges[i] = [2]string{g.Intern(e[0]), g.Intern(e[1])}
+	pairs := d.pairs[:0]
+	for _, e := range d.edges {
+		from, okf := g.IndexOf(e[0])
+		to, okt := g.IndexOf(e[1])
+		if !okf || !okt {
+			// The edges before this one go in first, so a duplicate or a
+			// self loop among them is reported ahead of the unknown node,
+			// as one AddEdge per edge would.
+			if err := g.AddEdges(pairs); err != nil {
+				return nil, err
+			}
+			unknown := e[0]
+			if okf {
+				unknown = e[1]
+			}
+			return nil, fmt.Errorf("%w: %q", dag.ErrUnknownNode, unknown)
+		}
+		pairs = append(pairs, [2]int32{from, to})
 	}
-	if err := g.AddEdges(edges); err != nil {
+	d.pairs = pairs
+	if err := g.AddEdges(pairs); err != nil {
 		return nil, err
 	}
 
@@ -428,9 +473,6 @@ func (d *specDoc) build() (*Spec, error) {
 	}
 	base := resources.Config{CPU: d.base.CPU, MemMB: d.base.MemMB}
 	spec.Base = resources.Uniform(spec.FunctionGroups(), base)
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	return spec, nil
 }
 

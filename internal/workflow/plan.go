@@ -32,24 +32,25 @@ type plan struct {
 // compilePlan flattens a validated spec into the dense execution plan and
 // binds every node's container slot on the platform the plan will run on.
 func compilePlan(spec *Spec, platform *simfaas.Platform) (*plan, error) {
-	topo, err := spec.G.TopoSort()
+	g := spec.G
+	topo, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	n := len(topo)
-	idx := make(map[string]int32, n)
-	for i, id := range topo {
-		idx[id] = int32(i)
+	dense := make([]int32, n) // insertion index -> dense node ID
+	for i, v := range topo {
+		dense[v] = int32(i)
 	}
 
 	groupNames := spec.FunctionGroups()
 	gidx := make(map[string]int32, len(groupNames))
-	for i, g := range groupNames {
-		gidx[g] = int32(i)
+	for i, name := range groupNames {
+		gidx[name] = int32(i)
 	}
 
 	p := &plan{
-		ids:        topo,
+		ids:        make([]string, n),
 		groups:     make([]string, n),
 		groupIdx:   make([]int32, n),
 		profiles:   make([]perfmodel.Profile, n),
@@ -59,23 +60,26 @@ func compilePlan(spec *Spec, platform *simfaas.Platform) (*plan, error) {
 		groupNames: groupNames,
 		groupNode:  make([]string, len(groupNames)),
 	}
-	for i, id := range topo {
-		g := spec.GroupOf(id)
-		p.groups[i] = g
-		p.groupIdx[i] = gidx[g]
-		if p.groupNode[gidx[g]] == "" {
-			p.groupNode[gidx[g]] = id
+	// Every successor list is carved out of one array.
+	succs := make([]int32, 0, g.NumEdges())
+	for i, v := range topo {
+		id := g.NodeAt(int(v))
+		p.ids[i] = id
+		grp := spec.GroupOf(id)
+		p.groups[i] = grp
+		p.groupIdx[i] = gidx[grp]
+		if p.groupNode[gidx[grp]] == "" {
+			p.groupNode[gidx[grp]] = id
 		}
 		p.profiles[i] = spec.Profiles[id]
 		p.slots[i] = platform.Slot(id)
-		p.indeg0[i] = int32(len(spec.G.Pred(id)))
-		succ := spec.G.Succ(id)
-		if len(succ) > 0 {
-			ds := make([]int32, len(succ))
-			for j, s := range succ {
-				ds[j] = idx[s]
+		p.indeg0[i] = int32(g.InDegreeAt(int(v)))
+		if succ := g.SuccAt(int(v)); len(succ) > 0 {
+			at := len(succs)
+			for _, s := range succ {
+				succs = append(succs, dense[s])
 			}
-			p.succs[i] = ds
+			p.succs[i] = succs[at:len(succs):len(succs)]
 		}
 	}
 	return p, nil
