@@ -37,9 +37,13 @@ import (
 // responses. The GET path never canonicalizes a spec: it is a store
 // lookup, nothing more, and 404s rather than searching.
 
-// maxRequestBody bounds request JSON against unbounded uploads. It is not
-// sized for the largest specs: a generated 1000-node spec encodes to about
-// 0.3 MB, but a 10k-node one to about 5 MB, over this limit.
+// maxRequestBody bounds request JSON against unbounded uploads. Generated
+// specs across the five topology families (seed 5) measure, as
+// EncodeSpec indents them and as canonical (compact) JSON:
+//
+//	1000 nodes: 367–503 KB indented, 226–291 KB canonical
+//	10k nodes:  3.7–5.0 MB indented (layered and random over this limit),
+//	            2.2–2.9 MB canonical (under it)
 const maxRequestBody = 4 << 20
 
 // NewHandler mounts the service's HTTP API.
@@ -94,7 +98,20 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"methods": methods})
 	})
 	mux.HandleFunc("POST /v1/configure", func(w http.ResponseWriter, r *http.Request) {
-		req, err := readRequest(w, r, false)
+		raw, err := readBody(w, r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		// Bytes configured before are served from the raw-body memo
+		// (memo.go) without being decoded; anything else takes the full
+		// path, and a success there is recorded for next time.
+		key := s.memo.key(raw)
+		if body, ok := s.configureMemo(key, raw); ok {
+			writeCached(w, body, true)
+			return
+		}
+		req, err := decodeRequest(raw, false)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -104,11 +121,12 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		body, hit, err := s.ConfigureJSON(r.Context(), spec, req.opts)
+		fp, body, hit, err := s.configure(r.Context(), spec, req.opts)
 		if err != nil {
 			writeServiceError(s, w, err)
 			return
 		}
+		s.memo.record(key, raw, fp)
 		writeCached(w, body, hit)
 	})
 	mux.HandleFunc("POST /v1/configure:batch", func(w http.ResponseWriter, r *http.Request) {
@@ -271,7 +289,12 @@ func NewHandler(s *Service) http.Handler {
 		}
 	})
 	mux.HandleFunc("POST /v1/dispatch", func(w http.ResponseWriter, r *http.Request) {
-		req, err := readRequest(w, r, true)
+		raw, err := readBody(w, r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		req, err := decodeRequest(raw, true)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -414,8 +437,12 @@ func writeCached(w http.ResponseWriter, body []byte, hit bool) {
 	w.Header().Set("X-Aarc-Cache", cacheHeader(hit))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-	_, _ = w.Write([]byte("\n"))
+	_, _ = w.Write(newline)
 }
+
+// newline ends a cached body; a package variable, because converting the
+// constant at the call allocates (the writer is an interface).
+var newline = []byte("\n")
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})

@@ -183,29 +183,24 @@ func scanClasses(s *jsonx.Scanner, dst *[]classJSON) {
 // readBody reads a POST body up to maxRequestBody. The buffer starts at
 // the declared length, up to 1 MB, so a large spec is read without
 // regrowing and a client declaring more than it sends cannot make every
-// connection reserve the whole limit.
+// connection reserve the whole limit. The buffer is made at that size,
+// not grown to it: bytes.Buffer.Grow allocates twice in a -race build,
+// which the memo hit's allocation pin would see.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	var buf bytes.Buffer
+	var start []byte
 	if n := r.ContentLength; n > 0 {
-		buf.Grow(int(min(n, 1<<20)) + bytes.MinRead)
+		start = make([]byte, 0, int(min(n, 1<<20))+bytes.MinRead)
 	}
+	buf := bytes.NewBuffer(start)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
 		return nil, fmt.Errorf("request: decoding body: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// readRequest reads and decodes a configure (dispatch false) or dispatch
-// body. Its error is the envelope's; an inline spec's own error is kept
-// in the request and surfaces from source.
-func readRequest(w http.ResponseWriter, r *http.Request, dispatch bool) (*configureRequest, error) {
-	body, err := readBody(w, r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRequest(body, dispatch)
-}
-
+// decodeRequest decodes a configure (dispatch false) or dispatch body.
+// Its error is the envelope's; an inline spec's own error is kept in the
+// request and surfaces from source.
 func decodeRequest(body []byte, dispatch bool) (*configureRequest, error) {
 	s := jsonx.NewScanner(body)
 	cr := new(configureRequest)

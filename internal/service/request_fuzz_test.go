@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"reflect"
 	"testing"
+	"time"
 
 	"aarc/internal/inputaware"
 	"aarc/internal/workflow"
@@ -189,10 +190,18 @@ func checkRequest(t *testing.T, body []byte, ss oracleSpecSource, opts RequestOp
 // search, so it never answers 500: an unknown fingerprint is a 404 and an
 // assignment that does not fit the workflow a 400.
 //
+// Every body is POSTed to /v1/configure three more times: the status and
+// response bytes must not change, so the raw-body memo, which admits a
+// body on its second success and answers the third, can never change an
+// answer.
+//
 // The bytes are also sent as the escaped {fp} segment of GET and DELETE
 // /v1/recommendation/{fp}, next to GET /v1/recommendations: no 500, and
 // unless they are the chatbot fingerprint itself, that entry still
-// answers 200 afterwards.
+// answers 200 afterwards. Last, they are a GET request path of their
+// own, and the {fp} segment (and Last-Event-ID) of GET /v1/watch/{fp},
+// both with an already-cancelled request context: no 500, no panic, and
+// an answer within the deadline.
 func FuzzHandler(f *testing.F) {
 	for _, b := range requestCorpus {
 		f.Add([]byte(b))
@@ -255,6 +264,19 @@ func FuzzHandler(f *testing.F) {
 				}
 			}
 		}
+		var first *httptest.ResponseRecorder
+		for i := 0; i < 3; i++ {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/configure", bytes.NewReader(body)))
+			if i == 0 {
+				first = rr
+				continue
+			}
+			if rr.Code != first.Code || !bytes.Equal(rr.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("POST /v1/configure %q, repeat %d: %d %s, first %d %s",
+					body, i, rr.Code, rr.Body.Bytes(), first.Code, first.Body.Bytes())
+			}
+		}
 		// The POSTs above may have pushed the chatbot entry out of the
 		// store, and an earlier DELETE may have removed it: configure it
 		// again (a hit when it is there) before probing the fingerprint
@@ -281,5 +303,37 @@ func FuzzHandler(f *testing.F) {
 				t.Fatalf("DELETE /v1/recommendation/%s removed the chatbot entry: GET answers %d", seg, rr.Code)
 			}
 		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		path := httptest.NewRequestWithContext(cancelled, http.MethodGet, "/", nil)
+		path.URL.Path = "/" + string(body)
+		watch := httptest.NewRequestWithContext(cancelled, http.MethodGet, "/v1/watch/"+seg, nil)
+		watch.Header.Set("Last-Event-ID", string(body))
+		for _, req := range []*http.Request{path, watch} {
+			before := svc.Stats().Panics
+			rr := serveWithin(t, h, req, 10*time.Second)
+			if rr.Code == http.StatusInternalServerError || svc.Stats().Panics != before {
+				t.Fatalf("GET %q with a cancelled context: %d: %s", req.URL.Path, rr.Code, rr.Body.Bytes())
+			}
+		}
 	})
+}
+
+// serveWithin serves req and fails the test if the handler has not
+// returned within d.
+func serveWithin(t *testing.T, h http.Handler, req *http.Request, d time.Duration) *httptest.ResponseRecorder {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rr, req)
+	}()
+	select {
+	case <-done:
+		return rr
+	case <-time.After(d):
+		t.Fatalf("%s %q: no answer within %v", req.Method, req.URL.Path, d)
+		return nil
+	}
 }

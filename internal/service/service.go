@@ -243,6 +243,7 @@ type DispatchResult struct {
 // Stats counts the service's cache behavior since construction.
 type Stats struct {
 	Hits           int64          `json:"hits"`              // answered from the store, no search machinery touched
+	MemoHits       int64          `json:"memo_hits"`         // hits answered from the raw-body memo, before any decode
 	Misses         int64          `json:"misses"`            // had to run — or wait on — a search
 	Searches       int64          `json:"searches"`          // underlying searches actually run
 	Evictions      int64          `json:"evictions"`         // entries dropped by a capacity bound (store + engine cache)
@@ -290,11 +291,14 @@ type Service struct {
 	pools   *lru.Cache[*entry]       // fingerprint -> process-private runner pools
 	engines *lru.Cache[*engineEntry] // dispatch fingerprint -> engine (not stored)
 
+	memo *bodyMemo // raw POST /v1/configure body -> fingerprint (memo.go)
+
 	draining atomic.Bool // BeginDrain/Close flipped; /readyz turns 503
 
 	searchWaiters atomic.Int64 // foreground misses blocked on an admission slot
 
 	hits           atomic.Int64
+	memoHits       atomic.Int64
 	misses         atomic.Int64
 	searches       atomic.Int64
 	storeErrs      atomic.Int64
@@ -379,6 +383,7 @@ func New(cfg Config) (*Service, error) {
 		batch:      experiments.NewPool(cfg.BatchWorkers),
 		pools:      lru.New[*entry](cfg.CacheSize),
 		engines:    lru.New[*engineEntry](cfg.CacheSize),
+		memo:       newBodyMemo(cfg.CacheSize),
 		bus:        event.NewBus(cfg.EventRing),
 		refreshing: make(map[string]struct{}),
 	}
@@ -488,6 +493,7 @@ func (s *Service) Stats() Stats {
 	}
 	return Stats{
 		Hits:           s.hits.Load(),
+		MemoHits:       s.memoHits.Load(),
 		Misses:         s.misses.Load(),
 		Searches:       s.searches.Load(),
 		Evictions:      engineEvictions + ss.Evictions,
